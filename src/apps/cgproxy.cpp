@@ -37,8 +37,9 @@ void cg_main(vmpi::Context& ctx, const CgProxyParams& p, std::vector<CgProxyRepo
 
   if (checkpointing) {
     std::uint64_t version = 0;
-    if (auto payload = ckpt::read_latest_checkpoint_tiered(ctx, *services.checkpoints,
-                                                           *services.storage, &version)) {
+    vmpi::Err err = vmpi::Err::kSuccess;
+    if (auto payload = ckpt::read_latest_checkpoint_tiered(
+            ctx, *services.checkpoints, *services.storage, &version, nullptr, &err)) {
       CgCkptHeader header{};
       if (payload->size() != sizeof(header) + x.size() * sizeof(double)) {
         throw std::runtime_error("cgproxy checkpoint size mismatch");
@@ -53,6 +54,8 @@ void cg_main(vmpi::Context& ctx, const CgProxyParams& p, std::vector<CgProxyRepo
       std::memcpy(x.data(), payload->data() + sizeof(header), x.size() * sizeof(double));
       prev_version = version;
       have_prev = true;
+    } else if (err != vmpi::Err::kSuccess) {
+      return;  // The restore fetch failed: not a cold start.
     }
   }
 

@@ -277,8 +277,10 @@ void heat3d_main(Context& ctx, const HeatParams& p, std::vector<HeatReport>* rep
   int start_iteration = 1;
   int restarts_used = 0;
   std::uint64_t restored_version = 0;
+  Err restore_err = Err::kSuccess;
   if (auto payload = ckpt::read_latest_checkpoint_tiered(ctx, store, *services.storage,
-                                                         &restored_version)) {
+                                                         &restored_version, nullptr,
+                                                         &restore_err)) {
     HeatCkptHeader header{};
     if (payload->size() < sizeof(header)) throw std::runtime_error("corrupt checkpoint header");
     std::memcpy(&header, payload->data(), sizeof(header));
@@ -302,6 +304,8 @@ void heat3d_main(Context& ctx, const HeatParams& p, std::vector<HeatReport>* rep
     // physics after restart is bit-identical to the uninterrupted run.
     set_phase(p, rank, HeatPhase::kHalo);
     if (halo_exchange(ctx, d, grid.get(), send_bufs, recv_bufs) != Err::kSuccess) return;
+  } else if (restore_err != Err::kSuccess) {
+    return;  // The restore fetch failed: not a cold start.
   }
 
   std::uint64_t prev_ckpt_version = restarts_used != 0 ? restored_version : 0;

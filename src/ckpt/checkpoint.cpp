@@ -5,6 +5,31 @@
 
 namespace exasim::ckpt {
 
+namespace {
+
+/// How `rank` reaches `copy`, cheapest first: its own node memory, a shared
+/// tier (bb/pfs), a remote rank's node memory (needs a network fetch).
+int access_class(const CopyRecord& copy, int rank) {
+  if (copy.holder == rank) return 0;
+  if (copy.holder < 0) return 1;
+  return 2;
+}
+
+}  // namespace
+
+CopyRecord best_copy(std::span<const CopyRecord> copies, int rank) {
+  CopyRecord best;  // Defaults: level 2, holder -1 (shared PFS).
+  bool have = false;
+  for (const auto& c : copies) {
+    if (!have || c.level < best.level ||
+        (c.level == best.level && access_class(c, rank) < access_class(best, rank))) {
+      best = c;
+      have = true;
+    }
+  }
+  return best;
+}
+
 CheckpointStore::CheckpointStore(int expected_ranks) : expected_ranks_(expected_ranks) {
   if (expected_ranks <= 0) throw std::invalid_argument("expected_ranks <= 0");
 }
@@ -13,6 +38,7 @@ void CheckpointStore::begin(std::uint64_t version, int rank) {
   std::lock_guard<std::mutex> lock(mu_);
   if (rank < 0 || rank >= expected_ranks_) throw std::invalid_argument("bad rank");
   VersionSet& set = versions_[version];
+  set.plan.reset();
   auto [it, inserted] = set.files.try_emplace(rank);
   if (!inserted) {
     if (it->second.finalized) --set.finalized_count;
@@ -28,6 +54,7 @@ void CheckpointStore::append(std::uint64_t version, int rank,
   auto fit = vit->second.files.find(rank);
   if (fit == vit->second.files.end()) throw std::logic_error("append before begin");
   if (fit->second.finalized) throw std::logic_error("append after finalize");
+  vit->second.plan.reset();
   fit->second.data.insert(fit->second.data.end(), data.begin(), data.end());
 }
 
@@ -37,6 +64,7 @@ void CheckpointStore::finalize(std::uint64_t version, int rank) {
   if (vit == versions_.end()) throw std::logic_error("finalize before begin");
   auto fit = vit->second.files.find(rank);
   if (fit == vit->second.files.end()) throw std::logic_error("finalize before begin");
+  vit->second.plan.reset();
   if (!fit->second.finalized) {
     fit->second.finalized = true;
     ++vit->second.finalized_count;
@@ -97,10 +125,12 @@ std::size_t CheckpointStore::file_bytes(std::uint64_t version, int rank) const {
 void CheckpointStore::record_copy(std::uint64_t version, int rank,
                                   const CopyRecord& copy) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (copy.holder >= expected_ranks_) throw std::invalid_argument("bad copy holder");
   auto vit = versions_.find(version);
   if (vit == versions_.end()) throw std::logic_error("record_copy before begin");
   auto fit = vit->second.files.find(rank);
   if (fit == vit->second.files.end()) throw std::logic_error("record_copy before begin");
+  vit->second.plan.reset();
   fit->second.copies.push_back(copy);
   std::stable_sort(fit->second.copies.begin(), fit->second.copies.end(),
                    [](const CopyRecord& a, const CopyRecord& b) { return a.level < b.level; });
@@ -113,6 +143,46 @@ std::vector<CopyRecord> CheckpointStore::copies(std::uint64_t version, int rank)
   auto fit = vit->second.files.find(rank);
   if (fit == vit->second.files.end()) return {};
   return fit->second.copies;
+}
+
+std::shared_ptr<const RestorePlan> CheckpointStore::restore_plan(std::uint64_t version) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto vit = versions_.find(version);
+  if (vit == versions_.end()) return nullptr;
+  if (!vit->second.plan) vit->second.plan = build_plan(vit->second);
+  return vit->second.plan;
+}
+
+std::shared_ptr<const RestorePlan> CheckpointStore::build_plan(const VersionSet& set) const {
+  const auto world = static_cast<std::size_t>(expected_ranks_);
+  auto plan = std::make_shared<RestorePlan>();
+  plan->source.resize(world);  // Missing files keep the default record.
+  plan->bytes.assign(world, 0);
+  for (const auto& [rank, file] : set.files) {
+    const auto q = static_cast<std::size_t>(rank);
+    plan->source[q] = best_copy(file.copies, rank);
+    plan->bytes[q] = file.data.size();
+  }
+  // Counting sort by holder: count into served_begin[h], prefix-sum to each
+  // range's end, then fill back to front in descending rank order — each
+  // range ends up ascending and served_begin[h] lands on its start.
+  auto remote_holder = [&](std::size_t q) {
+    const int h = plan->source[q].holder;
+    return h >= 0 && static_cast<std::size_t>(h) != q ? static_cast<std::size_t>(h) : world;
+  };
+  auto& begin = plan->served_begin;
+  begin.assign(world + 1, 0);
+  for (std::size_t q = 0; q < world; ++q) {
+    if (const std::size_t h = remote_holder(q); h < world) ++begin[h];
+  }
+  for (std::size_t h = 1; h <= world; ++h) begin[h] += begin[h - 1];
+  plan->served.resize(begin[world]);
+  for (std::size_t q = world; q-- > 0;) {
+    if (const std::size_t h = remote_holder(q); h < world) {
+      plan->served[--begin[h]] = static_cast<int>(q);
+    }
+  }
+  return plan;
 }
 
 int CheckpointStore::apply_failures(const std::vector<FailureSpec>& failures,
@@ -128,6 +198,7 @@ int CheckpointStore::apply_failures(const std::vector<FailureSpec>& failures,
   int lost = 0;
   std::vector<std::uint64_t> doomed_versions;
   for (auto& [version, set] : versions_) {
+    const int lost_before = lost;
     std::vector<int> doomed_files;
     for (auto& [rank, file] : set.files) {
       if (file.copies.empty()) continue;  // Legacy indestructible file.
@@ -148,6 +219,7 @@ int CheckpointStore::apply_failures(const std::vector<FailureSpec>& failures,
       lost += static_cast<int>(old_size - file.copies.size());
       if (file.copies.empty()) doomed_files.push_back(rank);
     }
+    if (lost != lost_before) set.plan.reset();
     for (int rank : doomed_files) {
       auto fit = set.files.find(rank);
       if (fit->second.finalized) --set.finalized_count;
@@ -166,6 +238,7 @@ void CheckpointStore::remove_file(std::uint64_t version, int rank) {
   auto fit = vit->second.files.find(rank);
   if (fit == vit->second.files.end()) return;
   if (fit->second.finalized) --vit->second.finalized_count;
+  vit->second.plan.reset();
   vit->second.files.erase(fit);
   if (vit->second.files.empty()) versions_.erase(vit);
 }

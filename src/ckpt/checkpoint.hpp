@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -35,6 +36,36 @@ struct CopyRecord {
   SimTime depends_until = 0;
 
   friend bool operator==(const CopyRecord&, const CopyRecord&) = default;
+};
+
+/// The copy `rank` restores its file from: fastest tier, then cheapest
+/// access — its own node memory, then a shared tier (bb/pfs), then a remote
+/// rank's node memory (needs a network fetch). An empty list is a legacy
+/// indestructible file (or a missing one): the default record, a shared PFS
+/// copy.
+CopyRecord best_copy(std::span<const CopyRecord> copies, int rank);
+
+/// Who restores from where, for one checkpoint version. Built once per
+/// version by CheckpointStore::restore_plan and shared read-only by every
+/// restoring rank, so a rank's restore work is its own entry plus the ranks
+/// whose memory copy it holds — never a scan over the world.
+struct RestorePlan {
+  /// Per rank: best_copy of its file (the default record if it has none).
+  std::vector<CopyRecord> source;
+  /// Per rank: stored file size, 0 if missing (modeled fetches need exact
+  /// sizes; vmpi::recv treats a short posting as truncation).
+  std::vector<std::size_t> bytes;
+  /// Holder -> served ranks, CSR: the ranks other than h whose source lives
+  /// in h's node memory are served[served_begin[h] .. served_begin[h + 1]),
+  /// ascending — the order h posts its fetch sends in.
+  std::vector<std::size_t> served_begin;
+  std::vector<int> served;
+
+  std::span<const int> served_by(int holder) const {
+    const auto h = static_cast<std::size_t>(holder);
+    return std::span<const int>(served).subspan(served_begin[h],
+                                                served_begin[h + 1] - served_begin[h]);
+  }
 };
 
 /// Application-level checkpoint storage, simulating the parallel file system
@@ -89,6 +120,14 @@ class CheckpointStore {
   /// legacy indestructible files and for missing files).
   std::vector<CopyRecord> copies(std::uint64_t version, int rank) const;
 
+  /// The restore plan of `version` (nullptr if the version has no files).
+  /// Built by the first caller and memoized per version: every later call
+  /// returns the same plan until that version itself changes (begin, append,
+  /// finalize, record_copy or remove_file on it, apply_failures losing one
+  /// of its copies, or its erasure). Changes to other versions keep it, so
+  /// ranks that finish restoring and move on do not make their peers rebuild.
+  std::shared_ptr<const RestorePlan> restore_plan(std::uint64_t version) const;
+
   /// Applies a run's activated failures to the stored copies: a copy is lost
   /// if its holder died, if it was not ready by `end_time` (in-flight drain),
   /// or if its drain source died before the drain finished reading it. Files
@@ -126,8 +165,11 @@ class CheckpointStore {
   struct VersionSet {
     std::map<int, File> files;
     int finalized_count = 0;
+    /// Memoized restore plan; reset by every change to this version.
+    mutable std::shared_ptr<const RestorePlan> plan;
   };
   bool set_complete_unlocked(std::uint64_t version) const;
+  std::shared_ptr<const RestorePlan> build_plan(const VersionSet& set) const;
 
   int expected_ranks_;
   mutable std::mutex mu_;

@@ -99,12 +99,16 @@ class TieredWriter {
 /// Tier-aware restart read: picks the nearest surviving copy of this rank's
 /// file in the latest complete set (node memory beats burst buffer beats
 /// PFS; a copy held in a *remote* rank's memory is fetched over the modeled
-/// network). All ranks compute the same deterministic restore plan, so
-/// fetch sends and receives pair up without negotiation. Returns nullopt on
-/// cold start (before any messaging). `tier_out` gets the StorageTierKind
-/// ordinal served from.
+/// network). The choice comes from the version's shared RestorePlan, so a
+/// rank posts only its own fetch and the sends for the ranks whose memory
+/// copy it holds, and sends and receives pair up without negotiation.
+/// Returns nullopt on cold start (before any messaging) and when a fetch
+/// fails; `err_out` tells the two apart — kSuccess on cold start, the
+/// communication error otherwise (a holder that died under a returning error
+/// handler). `tier_out` gets the StorageTierKind ordinal served from.
 std::optional<std::vector<std::byte>> read_latest_checkpoint_tiered(
     vmpi::Context& ctx, CheckpointStore& store, const StorageHierarchy& storage,
-    std::uint64_t* version_out = nullptr, int* tier_out = nullptr);
+    std::uint64_t* version_out = nullptr, int* tier_out = nullptr,
+    vmpi::Err* err_out = nullptr);
 
 }  // namespace exasim::ckpt

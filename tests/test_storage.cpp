@@ -1,15 +1,19 @@
 // Storage hierarchy + tiered checkpointing (DESIGN.md §14): spec parsing
 // round-trips and rejection matrix, per-tier cost math, capacity budgets,
-// occupancy-window contention, staged-drain back-pressure, and the
-// partner-loss restart matrix (which tier survives which failure set).
+// occupancy-window contention, staged-drain back-pressure, the
+// partner-loss restart matrix (which tier survives which failure set), and
+// the shared per-version restore plan (equivalence, memo rules, failed
+// fetches, worker invariance).
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <cstring>
 
+#include "apps/heat3d.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/tiered.hpp"
+#include "core/runner.hpp"
 #include "iomodel/storage.hpp"
 #include "sim_test_util.hpp"
 #include "vmpi/context.hpp"
@@ -199,6 +203,14 @@ TEST(CheckpointCopies, RecordSortsByLevelAndRequiresBegin) {
   EXPECT_EQ(copies[1].level, 2);
   EXPECT_EQ(store.file_bytes(1, 0), 7u);
   EXPECT_EQ(store.file_bytes(1, 3), 0u);  // Unknown rank: no file.
+}
+
+TEST(CheckpointCopies, RejectsHolderOutsideTheWorld) {
+  CheckpointStore store(2);
+  store.begin(1, 0);
+  EXPECT_THROW(store.record_copy(1, 0, CopyRecord{.level = 0, .holder = 2}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(store.record_copy(1, 0, CopyRecord{.level = 0, .holder = 1}));
 }
 
 TEST(CheckpointCopies, LegacyFilesWithoutCopiesAreIndestructible) {
@@ -410,22 +422,22 @@ TEST(TieredRestore, FetchesFromSurvivingPartnerMemory) {
   run_app(tiny_config(2), seed_app);
   EXPECT_EQ(store.apply_failures({FailureSpec{0, sim_sec(1)}}, sim_sec(2)), 2);
 
-  int tier0 = -1, tier1 = -1;
-  std::uint64_t version = 0;
-  bool ok = true;
+  // Per-rank slots: the ranks may run on different engine workers.
+  int tier[2] = {-1, -1};
+  std::uint64_t version[2] = {0, 0};
+  bool ok[2] = {false, false};
   auto restore_app = [&](Context& ctx) {
-    int tier = -1;
-    auto data = ckpt::read_latest_checkpoint_tiered(ctx, store, storage, &version, &tier);
-    ok = ok && data.has_value() &&
-         data->front() == std::byte{static_cast<unsigned char>(ctx.rank())};
-    (ctx.rank() == 0 ? tier0 : tier1) = tier;
+    const int r = ctx.rank();
+    auto data = ckpt::read_latest_checkpoint_tiered(ctx, store, storage, &version[r], &tier[r]);
+    ok[r] = data.has_value() && data->front() == std::byte{static_cast<unsigned char>(r)};
     ctx.finalize();
   };
   run_app(tiny_config(2), restore_app);
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(version, 1u);
-  EXPECT_EQ(tier0, 0);  // Fetched the partner-held memory replica.
-  EXPECT_EQ(tier1, 0);  // Own memory copy survived.
+  EXPECT_TRUE(ok[0] && ok[1]);
+  EXPECT_EQ(version[0], 1u);
+  EXPECT_EQ(version[1], 1u);
+  EXPECT_EQ(tier[0], 0);  // Fetched the partner-held memory replica.
+  EXPECT_EQ(tier[1], 0);  // Own memory copy survived.
 }
 
 TEST(TieredRestore, FallsToDeeperTierWhenMemoryCopiesDie) {
@@ -470,13 +482,318 @@ TEST(TieredRestore, ColdStartAfterTotalLossReturnsNothing) {
   // Both ranks die: every copy of every file is gone.
   store.apply_failures({FailureSpec{0, sim_sec(1)}, FailureSpec{1, sim_sec(1)}},
                        sim_sec(2));
-  bool empty = true;
+  bool empty[2] = {false, false};  // Per-rank slots, as above.
   auto restore_app = [&](Context& ctx) {
-    empty = empty && !ckpt::read_latest_checkpoint_tiered(ctx, store, storage).has_value();
+    empty[ctx.rank()] = !ckpt::read_latest_checkpoint_tiered(ctx, store, storage).has_value();
     ctx.finalize();
   };
   run_app(tiny_config(2), restore_app);
-  EXPECT_TRUE(empty);
+  EXPECT_TRUE(empty[0] && empty[1]);
+}
+
+TEST(TieredRestore, FailedFetchIsAnErrorNotAColdStart) {
+  // Rank 0 lost its local copy; its replica lives in rank 1's memory, and
+  // rank 1 dies as the restore launch starts. Under a returning error
+  // handler the fetch fails: that must read as an error, not as "no
+  // checkpoint" (which would restart rank 0 from scratch).
+  CheckpointStore store(2);
+  const StorageHierarchy storage(must_parse("mem:cbw=1e6;pfs:lat=1ms"));
+  auto seed_app = [&](Context& ctx) {
+    ckpt::TieredWriter writer(storage, CkptMode::kPartner);
+    std::vector<std::byte> payload(100, std::byte{1});
+    writer.write(ctx, store, 1, payload);
+    ctx.finalize();
+  };
+  run_app(tiny_config(2), seed_app);
+  store.apply_failures({FailureSpec{0, sim_sec(1)}}, sim_sec(2));
+  ASSERT_EQ(store.restore_plan(1)->source[0].holder, 1);
+
+  core::SimConfig cfg = tiny_config(2);
+  cfg.default_error_handler = vmpi::ErrorHandlerKind::kReturn;
+  cfg.failures = {FailureSpec{1, 0}};  // Dies before serving the fetch.
+  bool restored = true;
+  vmpi::Err err = vmpi::Err::kSuccess;
+  auto restore_app = [&](Context& ctx) {
+    if (ctx.rank() == 0) {
+      restored = ckpt::read_latest_checkpoint_tiered(ctx, store, storage, nullptr, nullptr, &err)
+                     .has_value();
+    }
+    ctx.finalize();
+  };
+  run_app(cfg, restore_app);
+  EXPECT_FALSE(restored);
+  EXPECT_EQ(err, vmpi::Err::kProcFailed);
+
+  // A cold start, by contrast, reports success.
+  CheckpointStore empty(2);
+  err = vmpi::Err::kProcFailed;
+  auto cold_app = [&](Context& ctx) {
+    if (ctx.rank() == 0) {
+      EXPECT_FALSE(ckpt::read_latest_checkpoint_tiered(ctx, empty, storage, nullptr, nullptr,
+                                                       &err)
+                       .has_value());
+    }
+    ctx.finalize();
+  };
+  run_app(tiny_config(2), cold_app);
+  EXPECT_EQ(err, vmpi::Err::kSuccess);
+}
+
+TEST(TieredRestore, Heat3dStopsOnAFailedFetchInsteadOfRestartingCold) {
+  // The same failure through the application: heat3d must return at start-up
+  // like on any other communication error, not run from iteration 1 while
+  // its peers resume from the checkpoint.
+  apps::HeatParams p;
+  p.nx = p.ny = p.nz = 8;
+  p.px = 2;
+  p.py = p.pz = 1;
+  p.total_iterations = 20;
+  p.halo_interval = p.checkpoint_interval = 5;
+  p.work_units_per_point = 1000.0;  // 256 us per iteration per rank.
+  core::SimConfig first = tiny_config(2);
+  first.storage = "mem;pfs";
+  first.ckpt_mode = "partner";
+  first.failures = {FailureSpec{0, sim_ms(2)}};  // After the iteration-5 checkpoint.
+  CheckpointStore store(2);
+  const core::SimResult r1 = run_app(first, apps::make_heat3d(p), &store);
+  ASSERT_EQ(r1.outcome, core::SimResult::Outcome::kAborted);
+  store.apply_failures(r1.activated_failures, r1.max_end_time);
+  store.scrub();
+  ASSERT_EQ(store.latest_complete(), std::optional<std::uint64_t>(5));
+  ASSERT_EQ(store.restore_plan(5)->source[0].holder, 1);  // Remote replica only.
+
+  core::SimConfig second = first;
+  second.initial_time = r1.max_end_time;
+  second.default_error_handler = vmpi::ErrorHandlerKind::kReturn;
+  second.failures = {FailureSpec{1, r1.max_end_time}};  // The holder dies at relaunch.
+  apps::HeatTelemetry telemetry(2);
+  p.telemetry = &telemetry;
+  run_app(second, apps::make_heat3d(p), &store);
+  EXPECT_EQ(telemetry.last_phase[0], apps::HeatPhase::kStartup);
+}
+
+// ---------------------------------------------------------------------------
+// The shared restore plan.
+
+/// Every rank's entry of the shared plan equals what that rank derived on
+/// its own before plans were shared: best_copy over its copies, its file
+/// size, and for every holder the ranks it serves in ascending order.
+void expect_plan_matches_per_rank_derivation(const CheckpointStore& store) {
+  const int world = store.expected_ranks();
+  for (const std::uint64_t v : store.versions()) {
+    SCOPED_TRACE("version " + std::to_string(v));
+    const auto plan = store.restore_plan(v);
+    ASSERT_NE(plan, nullptr);
+    ASSERT_EQ(plan->source.size(), static_cast<std::size_t>(world));
+    ASSERT_EQ(plan->bytes.size(), static_cast<std::size_t>(world));
+    for (int q = 0; q < world; ++q) {
+      EXPECT_EQ(plan->source[static_cast<std::size_t>(q)],
+                ckpt::best_copy(store.copies(v, q), q))
+          << "rank " << q;
+      EXPECT_EQ(plan->bytes[static_cast<std::size_t>(q)], store.file_bytes(v, q))
+          << "rank " << q;
+    }
+    for (int h = 0; h < world; ++h) {
+      std::vector<int> want;
+      for (int q = 0; q < world; ++q) {
+        if (q != h && ckpt::best_copy(store.copies(v, q), q).holder == h) want.push_back(q);
+      }
+      const auto got = plan->served_by(h);
+      EXPECT_EQ(std::vector<int>(got.begin(), got.end()), want) << "holder " << h;
+    }
+  }
+}
+
+TEST(RestorePlan, MatchesPerRankDerivationAcrossTheFailureMatrix) {
+  constexpr int kWorld = 4;
+  const StorageHierarchy storage(
+      must_parse("mem:cbw=1e9;bb:bw=2e6,cbw=1e6;pfs:bw=2e5,cbw=1e5"));
+  struct Case {
+    const char* name;
+    std::vector<int> dead;
+    bool drains_land;
+  };
+  const Case cases[] = {
+      {"no failure", {}, true},
+      {"victim", {0}, true},
+      {"partner", {1}, true},
+      {"victim and partner", {0, 1}, true},
+      {"in-flight drain", {}, false},
+      {"victim, drains in flight", {2}, false},
+  };
+  for (const CkptMode mode : {CkptMode::kPfs, CkptMode::kPartner, CkptMode::kStaged}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(ckpt::to_string(mode)) + ": " + c.name);
+      CheckpointStore store(kWorld);
+      auto app = [&](Context& ctx) {
+        ckpt::TieredWriter writer(storage, mode);
+        for (std::uint64_t v = 1; v <= 2; ++v) {
+          // Uneven sizes, so a swapped bytes entry would show.
+          std::vector<std::byte> payload(100 + 10 * static_cast<std::size_t>(ctx.rank()));
+          ASSERT_EQ(writer.write(ctx, store, v, payload), vmpi::Err::kSuccess);
+        }
+        if (c.drains_land) ctx.elapse(sim_sec(1));
+        ctx.finalize();
+      };
+      const core::SimResult run = run_app(tiny_config(kWorld), app);
+      std::vector<FailureSpec> failures;
+      for (int r : c.dead) failures.push_back(FailureSpec{r, run.max_end_time / 2});
+      store.apply_failures(failures, run.max_end_time);
+      expect_plan_matches_per_rank_derivation(store);
+    }
+  }
+}
+
+TEST(RestorePlan, MatchesPerRankDerivationForLegacyAndMissingFiles) {
+  // Version 1 mixes partner-replicated files with a legacy copy-less one
+  // (rank 2) and a missing one (rank 3); version 2 is all legacy.
+  CheckpointStore store(4);
+  for (int r = 0; r < 3; ++r) {
+    store.begin(1, r);
+    store.append(1, r, bytes_of(r == 2 ? "legacy" : "img"));
+    store.finalize(1, r);
+    if (r == 2) continue;
+    store.record_copy(1, r, CopyRecord{.level = 0, .holder = r});
+    store.record_copy(1, r, CopyRecord{.level = 0, .holder = ckpt::partner_of(r, 4)});
+  }
+  for (int r = 0; r < 4; ++r) {
+    store.begin(2, r);
+    store.finalize(2, r);
+  }
+  store.apply_failures({FailureSpec{0, sim_sec(1)}}, sim_sec(2));
+  expect_plan_matches_per_rank_derivation(store);
+  const auto plan = store.restore_plan(1);
+  EXPECT_EQ(plan->source[0].holder, 1);  // Victim fetches from its partner.
+  EXPECT_EQ(plan->source[2], CopyRecord{});  // Legacy: the shared PFS default.
+  EXPECT_EQ(plan->bytes[3], 0u);             // Missing.
+  EXPECT_EQ(plan->served_by(1).size(), 1u);
+  EXPECT_EQ(store.restore_plan(7), nullptr);  // No such version.
+}
+
+TEST(RestorePlan, MemoizedPerVersionAndDroppedOnlyByThatVersionsChanges) {
+  CheckpointStore store(2);
+  for (std::uint64_t v = 1; v <= 2; ++v) {
+    for (int r = 0; r < 2; ++r) {
+      store.begin(v, r);
+      store.append(v, r, bytes_of("img"));
+      store.finalize(v, r);
+      store.record_copy(v, r, CopyRecord{.level = 0, .holder = r});
+      store.record_copy(v, r, CopyRecord{.level = 0, .holder = 1 - r});
+    }
+  }
+  const auto p1 = store.restore_plan(2);
+  ASSERT_NE(p1, nullptr);
+  EXPECT_EQ(store.restore_plan(2), p1);  // Same plan on repeated calls.
+
+  // Ranks that finished restoring move on: other versions' changes keep it.
+  store.begin(3, 0);
+  store.append(3, 0, bytes_of("next"));
+  EXPECT_EQ(store.restore_plan(2), p1);
+  store.remove_file(1, 0);
+  EXPECT_EQ(store.restore_plan(2), p1);
+
+  // Changes to the version itself drop it.
+  store.record_copy(2, 0, CopyRecord{.level = 2, .holder = -1});
+  const auto p2 = store.restore_plan(2);
+  EXPECT_NE(p2, p1);
+  EXPECT_EQ(store.restore_plan(2), p2);
+
+  store.apply_failures({FailureSpec{1, sim_sec(1)}}, sim_sec(2));
+  const auto p3 = store.restore_plan(2);
+  EXPECT_NE(p3, p2);
+  EXPECT_EQ(p3->source[1].holder, 0);  // Rank 1's surviving replica.
+  EXPECT_EQ(p3->served_by(0).size(), 1u);
+  EXPECT_EQ(p1->source[1].holder, 1);  // A plan already handed out stays as built.
+
+  store.apply_failures({}, sim_sec(2));  // Loses nothing: keeps the plan.
+  EXPECT_EQ(store.restore_plan(2), p3);
+
+  store.remove_file(2, 1);
+  const auto p4 = store.restore_plan(2);
+  EXPECT_NE(p4, p3);
+  EXPECT_EQ(p4->bytes[1], 0u);
+
+  store.begin(2, 1);
+  const auto p5 = store.restore_plan(2);
+  EXPECT_NE(p5, p4);
+  store.append(2, 1, bytes_of("again"));
+  const auto p6 = store.restore_plan(2);
+  EXPECT_NE(p6, p5);
+  EXPECT_EQ(p6->bytes[1], 5u);
+  store.finalize(2, 1);
+  EXPECT_NE(store.restore_plan(2), p6);
+
+  store.remove_version(2);
+  EXPECT_EQ(store.restore_plan(2), nullptr);
+  EXPECT_EQ(store.scrub(), 2);  // Version 1 lost rank 0's file; 3 never completed.
+  EXPECT_EQ(store.restore_plan(3), nullptr);
+}
+
+TEST(RestorePlan, PartnerRestartIsWorkerInvariant) {
+  // A 64-rank partner-mode restart whose victim restores from the replica in
+  // its partner's memory: every rank shares one plan, built by whichever
+  // worker gets there first, and the result must not depend on the worker
+  // count.
+  apps::HeatParams p;
+  p.nx = p.ny = p.nz = 16;
+  p.px = p.py = p.pz = 4;  // 64 ranks, 4^3 local cubes.
+  p.total_iterations = 40;
+  p.halo_interval = p.checkpoint_interval = 10;
+  p.work_units_per_point = 1000.0;  // 64 us per iteration per rank.
+  constexpr int kVictim = 21;
+  struct Outcome {
+    core::RunnerResult result;
+    std::vector<apps::HeatReport> reports;
+    std::vector<CopyRecord> final_copies;
+  };
+  auto run_with = [&](int workers) {
+    core::RunnerConfig rc;
+    rc.base = tiny_config(64);
+    rc.base.sim_workers = workers;
+    rc.base.storage = "mem;pfs";
+    rc.base.ckpt_mode = "partner";
+    rc.first_run_failures = {FailureSpec{kVictim, sim_us(25 * 64)}};  // After iteration 20.
+    Outcome out;
+    out.reports.resize(64);
+    core::ResilientRunner runner(rc, apps::make_heat3d(p, &out.reports));
+    out.result = runner.run();
+    out.final_copies = runner.checkpoints().copies(40, kVictim);
+    return out;
+  };
+  // The wall-clock tail always differs; an aborted launch's post-abort drain
+  // length (events_processed onward) may differ with the worker count too.
+  auto launch_json = [](const core::SimResult& r) {
+    const std::string json = core::sim_result_json(r);
+    const char* cut = r.outcome == core::SimResult::Outcome::kCompleted
+                          ? ",\"wall_seconds\""
+                          : ",\"events_processed\"";
+    return json.substr(0, json.find(cut));
+  };
+  const Outcome ref = run_with(1);
+  ASSERT_TRUE(ref.result.completed);
+  ASSERT_EQ(ref.result.launches, 2);
+  EXPECT_EQ(ref.reports[kVictim].restarts_used, 1);
+  ASSERT_FALSE(ref.final_copies.empty());
+  for (const CopyRecord& c : ref.final_copies) EXPECT_EQ(c.level, 0);  // Memory only.
+  for (int workers : {2, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const Outcome got = run_with(workers);
+    EXPECT_EQ(got.result.completed, ref.result.completed);
+    EXPECT_EQ(got.result.total_time, ref.result.total_time);
+    EXPECT_EQ(got.result.failures, ref.result.failures);
+    ASSERT_EQ(got.result.launches, ref.result.launches);
+    for (std::size_t i = 0; i < ref.result.run_results.size(); ++i) {
+      EXPECT_EQ(launch_json(got.result.run_results[i]), launch_json(ref.result.run_results[i]))
+          << "launch " << i;
+    }
+    for (int r = 0; r < 64; ++r) {
+      const auto& a = got.reports[static_cast<std::size_t>(r)];
+      const auto& b = ref.reports[static_cast<std::size_t>(r)];
+      EXPECT_EQ(a.completed_iterations, b.completed_iterations) << "rank " << r;
+      EXPECT_EQ(a.restarts_used, b.restarts_used) << "rank " << r;
+      EXPECT_EQ(a.checksum, b.checksum) << "rank " << r;
+    }
+  }
 }
 
 TEST(TieredHelpers, PartnerRingAndClients) {
