@@ -53,7 +53,7 @@ def run(extra):
     err = proc.stderr
     m = re.search(r"perf\s*: (\d+) events in ([\d.]+) s wall = (\d+) events/s "
                   r"\(([\d.]+) ns/event\)", err)
-    p = re.search(r"pool\s*: (\d+) allocs \(([\d.]+)% recycled\), (\d+) heap "
+    p = re.search(r"pool\s*: (\d+) allocs \(([\d.]+)% recycled\), (\d+) fell through to heap "
                   r"\(([\d.]+)/event\), (\d+) slab KiB", err)
     s = re.search(r"stacks\s*: (\d+) mapped, (\d+) reused, high-water (\d+)", err)
     if not (m and p and s):

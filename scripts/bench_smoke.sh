@@ -345,7 +345,8 @@ def grab(pattern, what):
     return m
 
 perf = grab(r"perf\s*: (\d+) events in ([\d.]+) s wall", "perf line")
-pool = grab(r"pool\s*: (\d+) allocs \(([\d.]+)% recycled\), (\d+) heap", "pool line")
+pool = grab(r"pool\s*: (\d+) allocs \(([\d.]+)% recycled\), (\d+) fell through to heap",
+            "pool line")
 wake = grab(r"wakeups\s*: (\d+) resumes, (\d+) suppressed", "wakeups line")
 queue = grab(r"queue\s*: (\d+) near-bucket pops \([\d.]+%\), (\d+) bulk merges",
              "queue line")

@@ -11,8 +11,11 @@
 # EXASIM_CKPT_MODE=staged on 4 workers — the tiered writer's occupancy
 # windows and drain bookkeeping under the race detector. The ASan leg runs
 # pooled and EXASIM_NO_POOL=1, including the checkpoint store and runner
-# suites: the shared restore plan outlives ranks whose fibers a failure
-# unwinds. The mc leg runs the model-checker suite
+# suites (the shared restore plan outlives ranks whose fibers a failure
+# unwinds) and the MPI edge-case, collective and ULFM suites (parked request
+# and unexpected-message slots are poisoned, so a stale Request* or a
+# revoked/timed-out receive left in a match queue reports like a
+# use-after-free). The mc leg runs the model-checker suite
 # (test_mc — a tiny scenario lattice end to end) under TSan, as-is and with
 # EXASIM_JOBS=4 so the campaign executor fans scenario evaluations across
 # worker threads under the race detector.
@@ -71,15 +74,16 @@ run_tsan() {
 }
 
 run_asan() {
-  echo "== tier 1: AddressSanitizer (pool/fiber/engine/resilience/storage/runner suites) =="
-  # Validates the hot-path memory pools: parked payload blocks and recycled
-  # fiber stacks are shadow-poisoned, so stale pointers into either trip ASan
-  # even though the memory never went back to the system allocator. Runs both
-  # pooled and --no-pool configurations via EXASIM_NO_POOL.
+  echo "== tier 1: AddressSanitizer (pool/fiber/engine/vmpi/resilience/storage/runner suites) =="
+  # Validates the hot-path memory pools: parked payload blocks, request and
+  # unexpected-message slots, and recycled fiber stacks are shadow-poisoned,
+  # so stale pointers into any of them trip ASan even though the memory
+  # never went back to the system allocator. Runs both pooled and --no-pool
+  # configurations via EXASIM_NO_POOL.
   cmake -B build-asan -S . -DEXASIM_ASAN=ON >/dev/null
   cmake --build build-asan -j "$JOBS" --target test_util test_fiber test_pdes test_vmpi_p2p \
-    test_resilience test_storage test_runner
-  ASAN_SUITES='test_util|test_fiber|test_pdes|test_vmpi_p2p|test_resilience|test_storage|test_runner'
+    test_vmpi_edge test_vmpi_coll test_ulfm test_resilience test_storage test_runner
+  ASAN_SUITES='test_util|test_fiber|test_pdes|test_vmpi_p2p|test_vmpi_edge|test_vmpi_coll|test_ulfm|test_resilience|test_storage|test_runner'
   (cd build-asan && ctest --output-on-failure -R "$ASAN_SUITES")
   (cd build-asan && EXASIM_NO_POOL=1 ctest --output-on-failure -R "$ASAN_SUITES")
 }

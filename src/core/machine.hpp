@@ -211,8 +211,10 @@ struct SimResult {
   double wall_seconds = 0;
   double events_per_sec = 0;   ///< events_processed / wall_seconds.
   double ns_per_event = 0;     ///< Inverse, in nanoseconds.
-  /// Heap allocations (pool misses routed to ::operator new) per processed
-  /// event — the headline "allocs/event" figure of bench_baseline.sh.
+  /// Pool fallthroughs (util::pool_alloc requests served by ::operator new:
+  /// pool disabled or oversize block) per processed event — the headline
+  /// "allocs/event" figure of bench_baseline.sh. Counts only the pool's
+  /// traffic, not every heap allocation the simulator makes.
   double heap_allocs_per_event = 0;
 };
 

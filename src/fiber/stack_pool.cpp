@@ -6,25 +6,13 @@
 #include <cstdio>
 #include <new>
 
+#include "util/asan.hpp"
 #include "util/pool.hpp"
 
 // Recycled stacks under AddressSanitizer: frames abandoned on a parked stack
 // (a fiber destroyed while suspended) leave stale redzone poison in ASan's
 // shadow; a later fiber reusing the stack would trip false positives. Clear
 // the shadow on release.
-#if defined(__SANITIZE_ADDRESS__)
-#define EXASIM_ASAN_STACKS 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define EXASIM_ASAN_STACKS 1
-#endif
-#endif
-#if defined(EXASIM_ASAN_STACKS)
-extern "C" void __asan_unpoison_memory_region(void const volatile* addr, std::size_t size);
-#define EXASIM_UNPOISON_STACK(p, n) __asan_unpoison_memory_region((p), (n))
-#else
-#define EXASIM_UNPOISON_STACK(p, n) ((void)0)
-#endif
 
 namespace exasim {
 
@@ -125,7 +113,7 @@ FiberStackPool::Stack FiberStackPool::acquire(std::size_t bytes) {
 
 void FiberStackPool::release(Stack stack) {
   if (stack.base == nullptr) return;
-  EXASIM_UNPOISON_STACK(stack.base, stack.bytes);
+  util::asan_unpoison(stack.base, stack.bytes);
   std::lock_guard<std::mutex> lock(mu_);
   --stats_.outstanding;
   if (!util::pool_enabled()) {

@@ -5,27 +5,11 @@
 #include <mutex>
 #include <vector>
 
-// ASan integration: blocks parked on a free list are poisoned so that a
+#include "util/asan.hpp"
+
+// Blocks parked on a free list are ASan-poisoned (util/asan.hpp), so a
 // use-after-free of pooled memory is reported just like one of heap memory
-// (the EXASIM_ASAN tier-1 leg). Without the sanitizer these are no-ops.
-#if defined(__SANITIZE_ADDRESS__)
-#define EXASIM_ASAN_POOL 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define EXASIM_ASAN_POOL 1
-#endif
-#endif
-#if defined(EXASIM_ASAN_POOL)
-extern "C" {
-void __asan_poison_memory_region(void const volatile* addr, std::size_t size);
-void __asan_unpoison_memory_region(void const volatile* addr, std::size_t size);
-}
-#define EXASIM_POISON(p, n) __asan_poison_memory_region((p), (n))
-#define EXASIM_UNPOISON(p, n) __asan_unpoison_memory_region((p), (n))
-#else
-#define EXASIM_POISON(p, n) ((void)0)
-#define EXASIM_UNPOISON(p, n) ((void)0)
-#endif
+// (the EXASIM_ASAN tier-1 leg).
 
 namespace exasim::util {
 
@@ -147,7 +131,7 @@ void* pool_alloc(std::size_t bytes) {
   if (BlockHeader* h = tp.free_list[c]; h != nullptr) {
     tp.free_list[c] = h->next;
     bump(tp.stats.recycled);
-    EXASIM_UNPOISON(h + 1, kClassSizes[c]);
+    asan_unpoison(h + 1, kClassSizes[c]);
     return h + 1;
   }
 
@@ -189,7 +173,7 @@ void pool_free(void* p) {
   // header). The user region is poisoned while parked; the header holding
   // the link stays accessible.
   const std::size_t c = h->size_class;
-  EXASIM_POISON(h + 1, kClassSizes[c]);
+  asan_poison(h + 1, kClassSizes[c]);
   h->next = tp.free_list[c];
   tp.free_list[c] = h;
 }

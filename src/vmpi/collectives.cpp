@@ -43,14 +43,14 @@ namespace {
 
 Err coll_send(SimProcess& p, Comm& comm, Rank dest, int tag, const void* data,
               std::size_t bytes, bool allow_revoked = false) {
-  RequestHandle h = p.post_send(comm, dest, tag, data, bytes, allow_revoked);
-  return p.wait_all({h}, nullptr);
+  const RequestHandle h = p.post_send(comm, dest, tag, data, bytes, allow_revoked);
+  return p.wait_all({&h, 1}, nullptr);
 }
 
 Err coll_recv(SimProcess& p, Comm& comm, Rank src, int tag, void* buffer, std::size_t capacity,
               bool allow_revoked = false) {
-  RequestHandle h = p.post_recv(comm, src, tag, buffer, capacity, allow_revoked);
-  return p.wait_all({h}, nullptr);
+  const RequestHandle h = p.post_recv(comm, src, tag, buffer, capacity, allow_revoked);
+  return p.wait_all({&h, 1}, nullptr);
 }
 
 }  // namespace

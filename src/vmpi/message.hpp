@@ -7,6 +7,7 @@
 #include "resilience/notice.hpp"
 #include "util/pool.hpp"
 #include "util/time.hpp"
+#include "vmpi/request.hpp"
 #include "vmpi/types.hpp"
 
 namespace exasim::vmpi {
@@ -64,19 +65,9 @@ using AbortNoticePayload = resilience::AbortNoticePayload;
 using RevokeNoticePayload = resilience::RevokeNoticePayload;
 
 struct ErrorWakeupPayload final : EventPayload {
-  std::uint64_t request_serial = 0;
+  RequestHandle request;  ///< Stale (and ignored) if the request was released.
   Err error = Err::kProcFailed;
   SimTime error_time = 0;  ///< Virtual time at which the request fails.
-};
-
-/// A message sitting in a process's unexpected queue (arrived before a
-/// matching receive was posted). `arrival_seq` totally orders arrivals so
-/// that ANY_SOURCE matching across per-source queues stays deterministic.
-struct UnexpectedMsg {
-  Envelope env;
-  util::PayloadBuf data;
-  SimTime arrival_time = 0;
-  std::uint64_t arrival_seq = 0;
 };
 
 }  // namespace exasim::vmpi

@@ -148,7 +148,8 @@ void SimProcess::note_unexpected(const Envelope& env) {
   wake_pending_ = true;
 }
 
-void SimProcess::block_until(const std::function<bool()>& ready) {
+template <class Ready>
+void SimProcess::block_until(Ready&& ready) {
   for (;;) {
     if (fault_.forced_failure != kSimTimeNever) {
       clock_ = std::max(clock_, fault_.forced_failure);
@@ -296,17 +297,16 @@ void SimProcess::on_event(Engine& engine, Event&& ev) {
 }
 
 void SimProcess::handle_msg_arrival(MsgPayload& p, SimTime t) {
-  if (!try_match_posted(p.env, std::move(p.data), t)) {
+  if (!try_match_posted(p.env, p.data, t)) {
     // No matching posted receive yet: unexpected queue (normal MPI behavior).
     note_unexpected(p.env);
-    auto& bucket = unexpected_[{p.env.comm_id, p.env.src_comm_rank}];
-    bucket.push_back(UnexpectedMsg{p.env, std::move(p.data), t, next_arrival_seq_++});
+    match_.push_unexpected(p.env, std::move(p.data), t);
   }
   maybe_run_fiber();
 }
 
 void SimProcess::handle_cts(CtsPayload& p, SimTime t) {
-  for (auto& r : requests_) {
+  for (Request* r = requests_.first(); r != nullptr; r = r->live_next) {
     if (r->kind == Request::Kind::kSend && r->stage == Request::Stage::kAwaitingCts &&
         r->rdv_id == p.rdv_id) {
       // Clear-to-send: the NIC injects the payload now. The sender's request
@@ -332,7 +332,7 @@ void SimProcess::handle_cts(CtsPayload& p, SimTime t) {
 }
 
 void SimProcess::handle_data(DataPayload& p, SimTime t) {
-  for (auto& r : requests_) {
+  for (Request* r = requests_.first(); r != nullptr; r = r->live_next) {
     if (r->kind == Request::Kind::kRecv && r->stage == Request::Stage::kAwaitingData &&
         r->rdv_id == p.rdv_id) {
       if (r->recv_buffer != nullptr && !p.data.empty()) {
@@ -388,7 +388,7 @@ void SimProcess::handle_failure_notice(FailureNoticePayload& p, SimTime t) {
 void SimProcess::fail_requests_on_notice(Rank failed_rank, SimTime t_fail, SimTime t_detect) {
   // Release (and fail) blocked requests involving the failed process after a
   // simulated communication timeout (paper §IV-C).
-  for (auto& r : requests_) {
+  for (Request* r = requests_.first(); r != nullptr; r = r->live_next) {
     if (r->done() || r->error_wakeup_scheduled) continue;
     const bool unmatched_recv = r->kind == Request::Kind::kRecv &&
                                 r->stage == Request::Stage::kPosted &&
@@ -408,7 +408,7 @@ void SimProcess::fail_requests_on_notice(Rank failed_rank, SimTime t_fail, SimTi
 void SimProcess::schedule_error_wakeup(Request& r, SimTime t_fail, Rank peer_world,
                                        SimTime t_detect) {
   auto p = std::make_unique<ErrorWakeupPayload>();
-  p->request_serial = r.serial;
+  p->request = RequestTable::handle(r);
   p->error = Err::kProcFailed;
   // §IV-C timeout release, floored at the detector's notice delivery time:
   // the error cannot surface before this process learned of the failure.
@@ -426,9 +426,9 @@ void SimProcess::schedule_error_wakeup(Request& r, SimTime t_fail, Rank peer_wor
 }
 
 void SimProcess::handle_error_wakeup(ErrorWakeupPayload& p) {
-  Request* r = find_request(p.request_serial);
+  Request* r = requests_.find(p.request);
   if (r == nullptr || r->done()) return;  // Completed successfully in the meantime.
-  unindex_posted(*r);
+  MatchIndex::unpost(*r);
   r->stage = Request::Stage::kDone;
   r->complete_time = p.error_time;
   r->status.error = p.error;
@@ -462,7 +462,7 @@ bool SimProcess::on_stall(Engine& engine) {
   // receives (and probes) whose peers failed — released here through the
   // conservative-sync deadlock detection (paper §IV-C).
   bool progressed = false;
-  for (auto& r : requests_) {
+  for (Request* r = requests_.first(); r != nullptr; r = r->live_next) {
     if (r->done() || r->kind != Request::Kind::kRecv ||
         r->stage != Request::Stage::kPosted || r->peer_comm_rank != kAnySource) {
       continue;
@@ -485,7 +485,7 @@ bool SimProcess::on_stall(Engine& engine) {
       }
     }
     if (failed < 0) continue;
-    unindex_posted(*r);
+    MatchIndex::unpost(*r);
     r->stage = Request::Stage::kDone;
     r->complete_time = std::max(
         std::max(r->post_time, t_fail) + fabric_->failure_timeout(world_rank_, failed),
@@ -504,55 +504,9 @@ bool SimProcess::on_stall(Engine& engine) {
 // Matching engine
 // ---------------------------------------------------------------------------
 
-Request* SimProcess::find_request(std::uint64_t serial) {
-  for (auto& r : requests_) {
-    if (r->serial == serial) return r.get();
-  }
-  return nullptr;
-}
-
-bool SimProcess::match(const Envelope& env, const Request& r) const {
-  if (r.kind != Request::Kind::kRecv || r.stage != Request::Stage::kPosted) return false;
-  if (r.comm_id != env.comm_id) return false;
-  if (r.peer_comm_rank != kAnySource && r.peer_comm_rank != env.src_comm_rank) return false;
-  if (r.tag != kAnyTag && r.tag != env.tag) return false;
-  return true;
-}
-
-void SimProcess::index_posted(Request& r) {
-  if (r.peer_comm_rank == kAnySource) {
-    posted_any_.push_back(&r);
-  } else {
-    posted_[{r.comm_id, r.peer_comm_rank}].push_back(&r);
-  }
-}
-
-void SimProcess::unindex_posted(const Request& r) {
-  // Only posted receives are indexed; anything else is a no-op. Callers
-  // invoke this before changing the stage, so the guard sees kPosted.
-  if (r.kind != Request::Kind::kRecv || r.stage != Request::Stage::kPosted) return;
-  auto erase_from = [&r](std::deque<Request*>& dq) {
-    for (auto it = dq.begin(); it != dq.end(); ++it) {
-      if (*it == &r) {
-        dq.erase(it);
-        return;
-      }
-    }
-  };
-  if (r.peer_comm_rank == kAnySource) {
-    erase_from(posted_any_);
-  } else {
-    auto bit = posted_.find({r.comm_id, r.peer_comm_rank});
-    if (bit != posted_.end()) {
-      erase_from(bit->second);
-      if (bit->second.empty()) posted_.erase(bit);
-    }
-  }
-}
-
 void SimProcess::complete_recv_from_msg(Request& r, const Envelope& env,
-                                        util::PayloadBuf&& data, SimTime arrival) {
-  unindex_posted(r);
+                                        const util::PayloadBuf& data, SimTime arrival) {
+  MatchIndex::unpost(r);
   if (r.recv_buffer != nullptr && !data.empty()) {
     std::memcpy(r.recv_buffer, data.data(), std::min(r.bytes, data.size()));
   }
@@ -567,7 +521,7 @@ void SimProcess::complete_recv_from_msg(Request& r, const Envelope& env,
 }
 
 void SimProcess::start_rendezvous_recv(Request& r, const Envelope& env, SimTime arrival) {
-  unindex_posted(r);
+  MatchIndex::unpost(r);
   // Match time: when this receiver processes the RTS. CTS flies back to the
   // sender; the bulk data will arrive as a kEvDataArrival.
   const SimTime match_time = std::max(r.post_time, arrival) + fabric_->receiver_overhead();
@@ -583,73 +537,29 @@ void SimProcess::start_rendezvous_recv(Request& r, const Envelope& env, SimTime 
   r.status.tag = env.tag;
 }
 
-bool SimProcess::try_match_posted(const Envelope& env, util::PayloadBuf&& data,
+bool SimProcess::try_match_posted(const Envelope& env, const util::PayloadBuf& data,
                                   SimTime arrival) {
-  // MPI matching order: the earliest-posted matching receive wins. Serials
-  // are post-ordered and both index structures keep post order, so the
-  // winner is the lower-serial of the first tag-compatible entry in the
-  // explicit (comm, source) bucket and in the ANY_SOURCE side list.
-  Request* best = nullptr;
-  auto bit = posted_.find({env.comm_id, env.src_comm_rank});
-  if (bit != posted_.end()) {
-    for (Request* r : bit->second) {
-      if (match(env, *r)) {
-        best = r;
-        break;
-      }
-    }
-  }
-  for (Request* r : posted_any_) {
-    if (best != nullptr && r->serial >= best->serial) break;
-    if (match(env, *r)) {
-      best = r;
-      break;
-    }
-  }
+  // MPI matching order: the earliest-posted matching receive wins.
+  Request* best = match_.earliest_posted(env);
   if (best == nullptr) return false;
   if (env.rendezvous) {
     start_rendezvous_recv(*best, env, arrival);
   } else {
-    complete_recv_from_msg(*best, env, std::move(data), arrival);
+    complete_recv_from_msg(*best, env, data, arrival);
   }
   return true;
 }
 
 bool SimProcess::try_match_unexpected(Request& r) {
-  // Locate the matching unexpected message with the smallest arrival seq.
-  std::deque<UnexpectedMsg>* best_bucket = nullptr;
-  std::deque<UnexpectedMsg>::iterator best;
-
-  auto consider_bucket = [&](std::deque<UnexpectedMsg>& bucket) {
-    for (auto it = bucket.begin(); it != bucket.end(); ++it) {
-      if (!match(it->env, r)) continue;
-      if (best_bucket == nullptr || it->arrival_seq < best->arrival_seq) {
-        best_bucket = &bucket;
-        best = it;
-      }
-      return;  // Per-source buckets are arrival-ordered: first match wins.
-    }
-  };
-
-  if (r.peer_comm_rank != kAnySource) {
-    auto bit = unexpected_.find({r.comm_id, r.peer_comm_rank});
-    if (bit != unexpected_.end()) consider_bucket(bit->second);
+  // The earliest-arrived matching message (deterministic: arrival order).
+  UnexpectedMsg* m = match_.earliest_unexpected(r.comm_id, r.peer_comm_rank, r.tag);
+  if (m == nullptr) return false;
+  if (m->env.rendezvous) {
+    start_rendezvous_recv(r, m->env, m->arrival_time);
   } else {
-    // ANY_SOURCE: the earliest matching arrival across all of this
-    // communicator's source buckets (deterministic via arrival_seq).
-    for (auto bit = unexpected_.lower_bound({r.comm_id, 0});
-         bit != unexpected_.end() && bit->first.first == r.comm_id; ++bit) {
-      consider_bucket(bit->second);
-    }
+    complete_recv_from_msg(r, m->env, m->data, m->arrival_time);
   }
-  if (best_bucket == nullptr) return false;
-
-  if (best->env.rendezvous) {
-    start_rendezvous_recv(r, best->env, best->arrival_time);
-  } else {
-    complete_recv_from_msg(r, best->env, std::move(best->data), best->arrival_time);
-  }
-  best_bucket->erase(best);
+  match_.consume(*m);
   return true;
 }
 
@@ -668,14 +578,9 @@ void SimProcess::record_trace(const Request& r) {
   trace_->record(rec);
 }
 
-void SimProcess::release_request(std::uint64_t serial) {
-  for (auto it = requests_.begin(); it != requests_.end(); ++it) {
-    if ((*it)->serial == serial) {
-      unindex_posted(**it);
-      requests_.erase(it);
-      return;
-    }
-  }
+void SimProcess::release_request(Request& r) {
+  MatchIndex::unpost(r);
+  requests_.release(r);
 }
 
 // ---------------------------------------------------------------------------
@@ -687,9 +592,7 @@ RequestHandle SimProcess::post_send(Comm& comm, Rank dest, int tag, const void* 
   if (dest < 0 || dest >= comm.size()) throw std::invalid_argument("bad destination rank");
   if (tag == kAnyTag) throw std::invalid_argument("kAnyTag invalid for sends");
 
-  auto req = std::make_unique<Request>();
-  req->serial = next_serial_++;
-  req->kind = Request::Kind::kSend;
+  Request* req = &requests_.create(Request::Kind::kSend);
   req->comm_id = comm.id;
   req->peer_comm_rank = dest;
   req->peer_world_rank = comm.world_of(dest);
@@ -701,9 +604,7 @@ RequestHandle SimProcess::post_send(Comm& comm, Rank dest, int tag, const void* 
     req->stage = Request::Stage::kDone;
     req->complete_time = clock_;
     req->status.error = Err::kRevoked;
-    RequestHandle h{req->serial};
-    requests_.push_back(std::move(req));
-    return h;
+    return RequestTable::handle(*req);
   }
   req->survives_revoke = allow_revoked;
 
@@ -753,9 +654,7 @@ RequestHandle SimProcess::post_send(Comm& comm, Rank dest, int tag, const void* 
     }
   }
 
-  RequestHandle h{req->serial};
-  requests_.push_back(std::move(req));
-  return h;
+  return RequestTable::handle(*req);
 }
 
 RequestHandle SimProcess::post_recv(Comm& comm, Rank src, int tag, void* buffer,
@@ -764,9 +663,7 @@ RequestHandle SimProcess::post_recv(Comm& comm, Rank src, int tag, void* buffer,
     throw std::invalid_argument("bad source rank");
   }
 
-  auto req = std::make_unique<Request>();
-  req->serial = next_serial_++;
-  req->kind = Request::Kind::kRecv;
+  Request* req = &requests_.create(Request::Kind::kRecv);
   req->comm_id = comm.id;
   req->peer_comm_rank = src;
   req->peer_world_rank = src == kAnySource ? -1 : comm.world_of(src);
@@ -800,29 +697,30 @@ RequestHandle SimProcess::post_recv(Comm& comm, Rank src, int tag, void* buffer,
     }
   }
 
-  RequestHandle h{req->serial};
-  Request* raw = req.get();
-  requests_.push_back(std::move(req));
   // Still unmatched: make it findable by future arrivals.
-  if (raw->stage == Request::Stage::kPosted) index_posted(*raw);
-  return h;
+  if (req->stage == Request::Stage::kPosted) match_.post(*req);
+  return RequestTable::handle(*req);
 }
 
-Err SimProcess::wait_all(const std::vector<RequestHandle>& handles,
-                         std::vector<MsgStatus>* statuses) {
-  // Record the wait-set so event handlers can tell a completion that
-  // satisfies this wait from unrelated traffic (wakeup filter).
+Err SimProcess::wait_all(std::span<const RequestHandle> handles, MsgStatus* statuses) {
+  // Record the wait-set once: event handlers tell a completion that
+  // satisfies this wait from unrelated traffic by Request::waited (wakeup
+  // filter), and each wake only drops the entries that completed since.
+  // Waited requests stay live while the fiber is blocked: only this fiber
+  // releases requests.
   wait_kind_ = WaitKind::kRequests;
+  wait_set_.clear();
+  if (wait_set_.capacity() < handles.size()) wait_set_.reserve(handles.size());
   for (const auto& h : handles) {
-    Request* r = find_request(h.serial);
-    if (r != nullptr && !r->done()) r->waited = true;
-  }
-  block_until([this, &handles] {
-    for (const auto& h : handles) {
-      Request* r = find_request(h.serial);
-      if (r != nullptr && !r->done()) return false;
+    Request* r = requests_.find(h);
+    if (r != nullptr && !r->done() && !r->waited) {
+      r->waited = true;
+      wait_set_.push_back(r);
     }
-    return true;
+  }
+  block_until([this] {
+    std::erase_if(wait_set_, [](const Request* r) { return r->done(); });
+    return wait_set_.empty();
   });
   clear_wait();
 
@@ -830,29 +728,30 @@ Err SimProcess::wait_all(const std::vector<RequestHandle>& handles,
   // time the whole wait set is satisfied), then report.
   SimTime latest = clock_;
   Err first_error = Err::kSuccess;
-  if (statuses != nullptr) statuses->clear();
-  for (const auto& h : handles) {
-    Request* r = find_request(h.serial);
+  for (std::size_t i = 0; i < handles.size(); ++i) {
+    Request* r = requests_.find(handles[i]);
     if (r == nullptr) {
       // Already released (double wait): report an empty success status.
-      if (statuses != nullptr) statuses->push_back(MsgStatus{});
+      if (statuses != nullptr) statuses[i] = MsgStatus{};
       continue;
     }
     latest = std::max(latest, r->complete_time);
-    if (statuses != nullptr) statuses->push_back(r->status);
+    if (statuses != nullptr) statuses[i] = r->status;
     if (first_error == Err::kSuccess && r->status.error != Err::kSuccess) {
       first_error = r->status.error;
     }
     if (trace_ != nullptr) record_trace(*r);
   }
-  for (const auto& h : handles) release_request(h.serial);
+  for (const auto& h : handles) {
+    if (Request* r = requests_.find(h)) release_request(*r);
+  }
   raise_clock_to(latest, /*busy=*/false);
   return first_error;
 }
 
 bool SimProcess::test(RequestHandle h, MsgStatus* status, Err* err) {
   advance_clock(0);  // Clock-update point: failure/abort activation (§IV-A).
-  Request* r = find_request(h.serial);
+  Request* r = requests_.find(h);
   if (r == nullptr) {
     if (err != nullptr) *err = Err::kInvalidArg;
     return true;
@@ -862,7 +761,7 @@ bool SimProcess::test(RequestHandle h, MsgStatus* status, Err* err) {
   raise_clock_to(r->complete_time, /*busy=*/false);
   if (status != nullptr) *status = r->status;
   if (err != nullptr) *err = r->status.error;
-  release_request(h.serial);
+  release_request(*r);
   return true;
 }
 
@@ -873,24 +772,7 @@ Err SimProcess::probe(Comm& comm, Rank src, int tag, MsgStatus* status) {
   SimTime t_fail = kSimTimeNever;
 
   auto scan = [&]() -> bool {
-    auto scan_bucket = [&](const std::deque<UnexpectedMsg>& bucket) -> bool {
-      for (const auto& m : bucket) {
-        if (tag != kAnyTag && m.env.tag != tag) continue;
-        if (found == nullptr || m.arrival_seq < found->arrival_seq) found = &m;
-        return true;
-      }
-      return false;
-    };
-    found = nullptr;
-    if (src != kAnySource) {
-      auto bit = unexpected_.find({comm.id, src});
-      if (bit != unexpected_.end()) scan_bucket(bit->second);
-    } else {
-      for (auto bit = unexpected_.lower_bound({comm.id, 0});
-           bit != unexpected_.end() && bit->first.first == comm.id; ++bit) {
-        scan_bucket(bit->second);
-      }
-    }
+    found = match_.earliest_unexpected(comm.id, src, tag);
     if (found != nullptr) return true;
     if (src != kAnySource && fault_.knows_failed(comm.world_of(src))) {
       failed_peer = comm.world_of(src);
@@ -985,9 +867,9 @@ void SimProcess::apply_revoke(int comm_id, SimTime when) {
   // ULFM: pending operations on a revoked communicator complete with
   // kRevoked once the revoke notice reaches this process.
   bool any = false;
-  for (auto& r : requests_) {
+  for (Request* r = requests_.first(); r != nullptr; r = r->live_next) {
     if (r->done() || r->comm_id != comm_id || r->survives_revoke) continue;
-    unindex_posted(*r);
+    MatchIndex::unpost(*r);
     r->stage = Request::Stage::kDone;
     r->complete_time = std::max(r->post_time, when);
     r->status.error = Err::kRevoked;

@@ -2,10 +2,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +18,7 @@
 #include "util/time.hpp"
 #include "vmpi/comm.hpp"
 #include "vmpi/fabric.hpp"
+#include "vmpi/match.hpp"
 #include "vmpi/message.hpp"
 #include "vmpi/request.hpp"
 #include "vmpi/trace.hpp"
@@ -166,10 +167,11 @@ class SimProcess final : public LogicalProcess {
   RequestHandle post_recv(Comm& comm, Rank src, int tag, void* buffer, std::size_t capacity,
                           bool allow_revoked = false);
 
-  /// Blocks until every request is terminal; fills statuses (parallel array).
-  /// Returns the first non-success error, Err::kSuccess otherwise. Completed
-  /// requests are released.
-  Err wait_all(const std::vector<RequestHandle>& handles, std::vector<MsgStatus>* statuses);
+  /// Blocks until every request is terminal; fills `statuses` (nullptr, or
+  /// an array parallel to `handles`). Returns the first non-success error,
+  /// Err::kSuccess otherwise. Completed requests are released; a handle
+  /// already released reports an empty success status.
+  Err wait_all(std::span<const RequestHandle> handles, MsgStatus* statuses);
 
   /// Nonblocking completion check; releases the request when done.
   bool test(RequestHandle h, MsgStatus* status, Err* err);
@@ -243,21 +245,23 @@ class SimProcess final : public LogicalProcess {
   // Fiber body & scheduling.
   void fiber_body();
   void run_fiber();
-  void block_until(const std::function<bool()>& ready);
+  template <class Ready>
+  void block_until(Ready&& ready);
 
   // Wakeup filter (DESIGN.md §13). While the fiber is blocked, the block
   // condition is recorded here: the wait-set of requests (each flagged
-  // Request::waited) or a probe's match spec. Event handlers then resume the
-  // fiber via maybe_run_fiber(), which skips the resume unless something
-  // flipped the recorded condition — a waited request completed
-  // (note_request_done) or a probe-visible unexpected message arrived
-  // (note_unexpected). Handlers whose effect block_until itself re-evaluates
-  // (abort notices) or that force an unwind (failure activation, stall
-  // release) keep resuming unconditionally. Every resume the filter skips
-  // would have been a pure no-op — the predicates are side-effect-free and
-  // completion times never depend on when the fiber re-checks them — so the
-  // delivered schedule is byte-identical to eager mode
-  // (EXASIM_EAGER_WAKEUP=1 disables the filter to prove it).
+  // Request::waited, and listed in wait_set_) or a probe's match spec. Event
+  // handlers then resume the fiber via maybe_run_fiber(), which skips the
+  // resume unless something flipped the recorded condition — a waited
+  // request completed (note_request_done) or a probe-visible unexpected
+  // message arrived (note_unexpected). Handlers whose effect block_until
+  // itself re-evaluates (abort notices) or that force an unwind (failure
+  // activation, stall release) keep resuming unconditionally. Every resume
+  // the filter skips would have been a pure no-op — the predicates touch no
+  // simulated state (the wait-all one only drops completed entries from
+  // wait_set_) and completion times never depend on when the fiber
+  // re-checks them — so the delivered schedule is byte-identical to eager
+  // mode (EXASIM_EAGER_WAKEUP=1 disables the filter to prove it).
   enum class WaitKind : std::uint8_t { kNone, kRequests, kProbe };
   void register_probe_wait(int comm_id, Rank src, Rank src_world, int tag);
   void clear_wait();
@@ -275,14 +279,12 @@ class SimProcess final : public LogicalProcess {
   void handle_error_wakeup(ErrorWakeupPayload& p);
 
   // Matching engine.
-  Request* find_request(std::uint64_t serial);
-  bool match(const Envelope& env, const Request& r) const;
-  void complete_recv_from_msg(Request& r, const Envelope& env, util::PayloadBuf&& data,
+  void complete_recv_from_msg(Request& r, const Envelope& env, const util::PayloadBuf& data,
                               SimTime arrival);
   void start_rendezvous_recv(Request& r, const Envelope& env, SimTime arrival);
-  bool try_match_posted(const Envelope& env, util::PayloadBuf&& data, SimTime arrival);
+  bool try_match_posted(const Envelope& env, const util::PayloadBuf& data, SimTime arrival);
   bool try_match_unexpected(Request& r);
-  void release_request(std::uint64_t serial);
+  void release_request(Request& r);
   void record_trace(const Request& r);
 
   // Failure/abort plumbing. Release times honor both the §IV-C per-request
@@ -336,24 +338,13 @@ class SimProcess final : public LogicalProcess {
   resilience::FaultState fault_;
   resilience::SoftErrorState soft_errors_;
 
-  // Messaging state. The unexpected queue is indexed by (comm id, source
-  // comm rank): a linear-algorithm collective at large scale floods the root
-  // with tens of thousands of unexpected messages, and a flat queue would
-  // make its sequential receives O(n^2).
-  std::map<std::pair<int, Rank>, std::deque<UnexpectedMsg>> unexpected_;
-  std::uint64_t next_arrival_seq_ = 1;
-  // Posted-receive index mirroring the unexpected-queue bucketing: explicit
-  // receives in (comm id, source) buckets plus a post-ordered ANY_SOURCE
-  // side list, so a message arrival matches against the handful of receives
-  // that could accept it instead of scanning every outstanding request.
-  // Entries are raw pointers into requests_ (heap-stable via unique_ptr);
-  // every transition out of Stage::kPosted calls unindex_posted first.
-  void index_posted(Request& r);
-  void unindex_posted(const Request& r);
-  std::map<std::pair<int, Rank>, std::deque<Request*>> posted_;
-  std::deque<Request*> posted_any_;
-  std::vector<std::unique_ptr<Request>> requests_;
-  std::uint64_t next_serial_ = 1;
+  // Messaging state (DESIGN.md §9): live requests in recycled slab slots,
+  // and the posted-receive / unexpected-message index. Every transition of a
+  // receive out of Stage::kPosted calls MatchIndex::unpost first.
+  RequestTable requests_;
+  MatchIndex match_;
+  /// The blocked wait_all's still-pending requests (capacity reused).
+  std::vector<Request*> wait_set_;
   std::uint64_t next_rdv_ = 1;
 
   // Communicators (index 0 = world).

@@ -211,5 +211,189 @@ TEST(Edge, FinalizeWithOutstandingRequestsIsClean) {
   EXPECT_EQ(run_app(tiny_config(2), app).outcome, SimResult::Outcome::kCompleted);
 }
 
+
+// ---------------------------------------------------------------------------
+// MPI match order: the earliest-posted receive wins a message, and an
+// ANY_SOURCE receive takes the earliest matching arrival.
+// ---------------------------------------------------------------------------
+
+/// Rank 1 posts two receives that both match rank 0's next two messages —
+/// one with an explicit source, one with ANY_SOURCE — in the given order,
+/// then reports which value each receive got.
+std::vector<int> explicit_vs_any_values(bool any_first) {
+  std::vector<int> got(2, -1);
+  auto app = [&](Context& ctx) {
+    auto& w = ctx.world();
+    if (ctx.rank() == 0) {
+      ctx.compute(1e5);  // 100 us: both receives are posted before anything arrives.
+      for (int v : {1, 2}) ctx.send(1, 5, &v, sizeof v);
+    } else {
+      const vmpi::Rank first_src = any_first ? vmpi::kAnySource : 0;
+      const vmpi::Rank second_src = any_first ? 0 : vmpi::kAnySource;
+      auto a = ctx.irecv(w, first_src, 5, &got[0], sizeof(int));
+      auto b = ctx.irecv(w, second_src, 5, &got[1], sizeof(int));
+      EXPECT_EQ(ctx.waitall(w, {a, b}, nullptr), Err::kSuccess);
+    }
+    ctx.finalize();
+  };
+  EXPECT_EQ(run_app(tiny_config(2), app).outcome, SimResult::Outcome::kCompleted);
+  return got;
+}
+
+TEST(MatchOrder, EarliestPostedWinsAnySourceFirst) {
+  EXPECT_EQ(explicit_vs_any_values(/*any_first=*/true), (std::vector<int>{1, 2}));
+}
+
+TEST(MatchOrder, EarliestPostedWinsExplicitFirst) {
+  EXPECT_EQ(explicit_vs_any_values(/*any_first=*/false), (std::vector<int>{1, 2}));
+}
+
+TEST(MatchOrder, ReceiveCompletedByRevokeIsUnindexed) {
+  // Rank 1's receive on a duplicate communicator is completed by rank 1's own
+  // revoke, and is only waited on (released) at the end. The large message
+  // rank 0 already has in flight on that communicator arrives in between: it
+  // must land in the unexpected queue (probe sees it), not in the revoked
+  // receive. Rank 0's later message on the world communicator still goes to
+  // rank 1's next receive.
+  Err revoked = Err::kSuccess, world_err = Err::kProcFailed, probe_err = Err::kProcFailed;
+  int world_value = -1;
+  MsgStatus probed;
+  constexpr std::size_t kBig = 200'000;  // Eager, ~200 us on the wire.
+  auto app = [&](Context& ctx) {
+    ctx.set_error_handler(ctx.world(), vmpi::ErrorHandlerKind::kReturn);
+    vmpi::Comm* dup = ctx.comm_dup(ctx.world());
+    ASSERT_NE(dup, nullptr);
+    if (ctx.rank() == 0) {
+      std::vector<std::uint8_t> big(kBig, 7);
+      auto h = ctx.isend(*dup, 1, 3, big.data(), big.size());
+      (void)ctx.wait(*dup, h);
+      int v = 42;
+      ctx.send(1, 3, &v, sizeof v);
+    } else {
+      std::vector<std::uint8_t> sink(kBig);
+      auto r = ctx.irecv(*dup, 0, 3, sink.data(), sink.size());
+      ctx.comm_revoke(*dup);
+      world_err = ctx.recv(0, 3, &world_value, sizeof world_value);
+      probe_err = ctx.probe(*dup, 0, 3, &probed);
+      revoked = ctx.wait(*dup, r);
+    }
+    ctx.finalize();
+  };
+  EXPECT_EQ(run_app(tiny_config(2), app).outcome, SimResult::Outcome::kCompleted);
+  EXPECT_EQ(revoked, Err::kRevoked);
+  EXPECT_EQ(world_err, Err::kSuccess);
+  EXPECT_EQ(world_value, 42);
+  EXPECT_EQ(probe_err, Err::kSuccess);
+  EXPECT_EQ(probed.source, 0);
+  EXPECT_EQ(probed.bytes, kBig);
+}
+
+TEST(MatchOrder, ReceiveCompletedByErrorWakeupIsUnindexed) {
+  // Rank 2 posts an explicit receive from rank 1, then an ANY_SOURCE one.
+  // Rank 1 sends once and fails; the failure times the explicit receive out
+  // after 1 ms, long before the message crosses the 5 ms links. The message
+  // then goes to the next matching receive, the ANY_SOURCE one, although the
+  // timed-out receive is waited on (released) only afterwards.
+  auto cfg = tiny_config(3);
+  cfg.net.link_latency = sim_ms(5);
+  Err first = Err::kSuccess, second = Err::kProcFailed;
+  MsgStatus second_st;
+  int first_value = -1, second_value = -1;
+  auto app = [&](Context& ctx) {
+    auto& w = ctx.world();
+    ctx.set_error_handler(w, vmpi::ErrorHandlerKind::kReturn);
+    if (ctx.rank() == 1) {
+      int v = 11;
+      ctx.send(2, 4, &v, sizeof v);
+      ctx.fail_now();
+    } else if (ctx.rank() == 2) {
+      auto a = ctx.irecv(w, 1, 4, &first_value, sizeof(int));
+      auto b = ctx.irecv(w, vmpi::kAnySource, 4, &second_value, sizeof(int));
+      second = ctx.wait(w, b, &second_st);
+      first = ctx.wait(w, a);
+    }
+    ctx.finalize();
+  };
+  run_app(cfg, app);
+  EXPECT_EQ(first, Err::kProcFailed);
+  EXPECT_EQ(first_value, -1);
+  EXPECT_EQ(second, Err::kSuccess);
+  EXPECT_EQ(second_value, 11);
+  EXPECT_EQ(second_st.source, 1);
+}
+
+TEST(MatchOrder, AnySourceTakesEarliestArrivalAcrossSources) {
+  // Ranks 3, 1, 2 send to rank 0 in that arrival order; rank 3's message has
+  // a different tag. Rank 0 receives only after all three arrived.
+  std::vector<int> sources;
+  auto app = [&](Context& ctx) {
+    const int delay_us[] = {0, 10, 20, 0};
+    const int tag_of[] = {0, 5, 5, 9};
+    if (ctx.rank() == 0) {
+      ctx.compute(1e6);  // 1 ms: everything is unexpected by now.
+      for (int tag : {5, vmpi::kAnyTag, 5}) {
+        int v = -1;
+        MsgStatus st;
+        EXPECT_EQ(ctx.recv(vmpi::kAnySource, tag, &v, sizeof v, &st), Err::kSuccess);
+        EXPECT_EQ(v, st.source);
+        sources.push_back(st.source);
+      }
+    } else {
+      ctx.compute(1e3 * delay_us[ctx.rank()]);
+      int v = ctx.rank();
+      ctx.send(0, tag_of[ctx.rank()], &v, sizeof v);
+    }
+    ctx.finalize();
+  };
+  EXPECT_EQ(run_app(tiny_config(4), app).outcome, SimResult::Outcome::kCompleted);
+  EXPECT_EQ(sources, (std::vector<int>{1, 3, 2}));
+}
+
+TEST(Edge, StaleHandleStaysStaleAfterSlotsAreRecycled) {
+  // After wait releases h, many newer requests come and go, reusing request
+  // storage. Two receives are then left pending, so every storage slot ever
+  // used (the process never had more than two live requests) holds a live
+  // request. h must still behave as released: wait returns the empty
+  // success, test reports kInvalidArg, and neither touches the pending
+  // receives.
+  bool pending_untouched = false;
+  int late[2] = {-1, -1};
+  Err stale_wait = Err::kProcFailed, stale_test = Err::kSuccess;
+  MsgStatus stale_status;
+  auto app = [&](Context& ctx) {
+    auto& w = ctx.world();
+    int v = 1, in = 0;
+    auto h = ctx.irecv(w, 0, 1, &in, sizeof in);
+    auto s = ctx.isend(w, 0, 1, &v, sizeof v);
+    EXPECT_EQ(ctx.waitall(w, {h, s}, nullptr), Err::kSuccess);
+    for (int i = 0; i < 80; ++i) {
+      auto r = ctx.irecv(w, 0, 2, &in, sizeof in);
+      auto q = ctx.isend(w, 0, 2, &i, sizeof i);
+      EXPECT_EQ(ctx.waitall(w, {r, q}, nullptr), Err::kSuccess);
+    }
+    auto p0 = ctx.irecv(w, 0, 3, &late[0], sizeof late[0]);
+    auto p1 = ctx.irecv(w, 0, 4, &late[1], sizeof late[1]);
+    stale_status.bytes = 123;
+    stale_wait = ctx.wait(w, h, &stale_status);
+    MsgStatus st;
+    EXPECT_TRUE(ctx.test(h, &st, &stale_test));
+    Err e = Err::kSuccess;
+    pending_untouched = !ctx.test(p0, &st, &e) && !ctx.test(p1, &st, &e);
+    const int values[2] = {77, 88};
+    ctx.send(0, 3, &values[0], sizeof values[0]);
+    ctx.send(0, 4, &values[1], sizeof values[1]);
+    EXPECT_EQ(ctx.waitall(w, {p0, p1}, nullptr), Err::kSuccess);
+    ctx.finalize();
+  };
+  EXPECT_EQ(run_app(tiny_config(1), app).outcome, SimResult::Outcome::kCompleted);
+  EXPECT_EQ(stale_wait, Err::kSuccess);
+  EXPECT_EQ(stale_status.bytes, 0u);
+  EXPECT_EQ(stale_status.source, vmpi::kAnySource);
+  EXPECT_EQ(stale_test, Err::kInvalidArg);
+  EXPECT_TRUE(pending_untouched);
+  EXPECT_EQ(late[0], 77);
+  EXPECT_EQ(late[1], 88);
+}
+
 }  // namespace
 }  // namespace exasim

@@ -106,7 +106,7 @@ void print_perf(const std::vector<const core::RunnerResult*>& results) {
           ? 100.0 * static_cast<double>(p.pool_recycled) / static_cast<double>(p.pool_allocs)
           : 0.0;
   std::fprintf(stderr,
-               "pool           : %llu allocs (%.1f%% recycled), %llu heap "
+               "pool           : %llu allocs (%.1f%% recycled), %llu fell through to heap "
                "(%.4f/event), %llu slab KiB\n",
                static_cast<unsigned long long>(p.pool_allocs), recycle_pct,
                static_cast<unsigned long long>(p.pool_heap_allocs),
