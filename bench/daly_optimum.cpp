@@ -77,7 +77,7 @@ Trial run_trial(int interval, SimTime mttf, std::uint64_t seed) {
   core::RunnerConfig rc;
   rc.base = machine();
   rc.system_mttf = mttf;
-  rc.distribution = core::FailureDistribution::kExponential;
+  rc.distribution = resilience::FailureDistribution::kExponential;
   rc.seed = seed;
   core::RunnerResult res = core::ResilientRunner(rc, apps::make_heat3d(heat(interval))).run();
   Trial t;

@@ -292,7 +292,7 @@ void BM_ShardedWindowThroughput(benchmark::State& state) {
       engine.schedule(static_cast<SimTime>(i % 3), i, 0, std::make_unique<SpinPayload>(kHops));
     }
     Engine::ShardingOptions opts{workers, kSpinLookahead, 1, {}};
-    opts.scheduler.kind = adaptive ? SchedulerKind::kAdaptive : SchedulerKind::kFixed;
+    opts.scheduler = adaptive ? SchedulerKind::kAdaptive : SchedulerKind::kFixed;
     engine.set_sharding(opts);
     state.ResumeTiming();
     engine.run();

@@ -82,7 +82,7 @@ core::RunnerResult run_row(int interval, std::optional<SimTime> mttf, std::uint6
   core::RunnerConfig rc;
   rc.base = paper_machine();
   rc.system_mttf = mttf;
-  rc.distribution = core::FailureDistribution::kUniform2Mttf;
+  rc.distribution = resilience::FailureDistribution::kUniform2Mttf;
   rc.seed = seed;
   return core::ResilientRunner(rc, apps::make_heat3d(paper_heat(interval))).run();
 }

@@ -5,9 +5,8 @@
 # campaign machinery, the sharded engine, and the failure-notification bus
 # end to end). The TSan suites run three times: as-is, with
 # EXASIM_SIM_WORKERS=4 so every engine run inside them is forced onto
-# multiple worker threads, and with the adaptive scheduler plus speculation
-# on top so the widened-window/work-stealing/rollback paths are exercised
-# under the race detector. A fourth, scoped repeat runs test_storage with
+# multiple worker threads, and with the adaptive scheduler on top so the
+# widened-window/work-stealing paths are exercised under the race detector. A fourth, scoped repeat runs test_storage with
 # EXASIM_CKPT_MODE=staged on 4 workers — the tiered writer's occupancy
 # windows and drain bookkeeping under the race detector. The ASan leg runs
 # pooled and EXASIM_NO_POOL=1, including the checkpoint store and runner
@@ -62,8 +61,8 @@ run_tsan() {
   echo "== tier 1: ThreadSanitizer, forced multi-worker engine =="
   (cd build-tsan && EXASIM_SIM_WORKERS=4 ctest --output-on-failure -R 'test_pdes|test_vmpi_p2p|test_resilience')
 
-  echo "== tier 1: ThreadSanitizer, adaptive scheduler + stealing + speculation =="
-  (cd build-tsan && EXASIM_SIM_WORKERS=4 EXASIM_SCHEDULER=adaptive EXASIM_SPECULATE=8 \
+  echo "== tier 1: ThreadSanitizer, adaptive scheduler + stealing =="
+  (cd build-tsan && EXASIM_SIM_WORKERS=4 EXASIM_SCHEDULER=adaptive \
     ctest --output-on-failure -R 'test_pdes|test_vmpi_p2p|test_resilience')
 
   echo "== tier 1: ThreadSanitizer, staged checkpointing on the sharded engine =="

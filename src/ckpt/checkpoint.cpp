@@ -131,9 +131,13 @@ void CheckpointStore::record_copy(std::uint64_t version, int rank,
   auto fit = vit->second.files.find(rank);
   if (fit == vit->second.files.end()) throw std::logic_error("record_copy before begin");
   vit->second.plan.reset();
-  fit->second.copies.push_back(copy);
-  std::stable_sort(fit->second.copies.begin(), fit->second.copies.end(),
-                   [](const CopyRecord& a, const CopyRecord& b) { return a.level < b.level; });
+  // Kept ordered by level, equal levels in record order.
+  auto& copies = fit->second.copies;
+  copies.insert(std::upper_bound(copies.begin(), copies.end(), copy,
+                                 [](const CopyRecord& a, const CopyRecord& b) {
+                                   return a.level < b.level;
+                                 }),
+                copy);
 }
 
 std::vector<CopyRecord> CheckpointStore::copies(std::uint64_t version, int rank) const {

@@ -4,10 +4,10 @@
 #include <sstream>
 
 #include "ckpt/tiered.hpp"
-#include "core/failure.hpp"
 #include "iomodel/storage.hpp"
 #include "netmodel/routing.hpp"
 #include "pdes/scheduler.hpp"
+#include "resilience/schedule.hpp"
 #include "resilience/detector.hpp"
 #include "util/log.hpp"
 #include "util/parse.hpp"
@@ -82,16 +82,12 @@ std::string cli_usage() {
       "                    1 = sequential, auto = usable CPUs (affinity/\n"
       "                    cgroup aware), default from EXASIM_SIM_WORKERS;\n"
       "                    identical results for any N)\n"
-      "  --scheduler=fixed|adaptive[:stretch=N][,gpw=N]\n"
+      "  --scheduler=fixed|adaptive\n"
       "                   (window scheduling policy of the sharded engine;\n"
       "                    adaptive widens per-group windows inside the safe\n"
       "                    envelope and steals ready LP groups across\n"
       "                    workers; or env EXASIM_SCHEDULER; identical\n"
       "                    results for either policy)\n"
-      "  --speculate=N    (stage up to N events per LP group past the\n"
-      "                    conservative window, rolled back when invalidated;\n"
-      "                    0 = off; or env EXASIM_SPECULATE; identical\n"
-      "                    results at any depth)\n"
       "  --no-pool        (disable the hot-path memory pools — payloads and\n"
       "                    fiber stacks fall back to plain heap/mmap; also\n"
       "                    env EXASIM_NO_POOL=1; identical results either way)\n";
@@ -107,7 +103,7 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv, std::stri
   // Environment first; explicit flags override (command line wins over
   // environment, like xSim).
   {
-    auto schedule = FailureSchedule::from_env();
+    auto schedule = resilience::FailureSchedule::from_env();
     if (!schedule) return fail(std::string("malformed ") + kFailureScheduleEnvVar);
     opts.machine.failures = schedule->specs();
   }
@@ -186,7 +182,7 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv, std::stri
       if (!ckpt::parse_ckpt_mode(value)) return fail("bad --ckpt-mode");
       opts.machine.ckpt_mode = value;
     } else if (key == "failures") {
-      auto schedule = FailureSchedule::parse(value);
+      auto schedule = resilience::FailureSchedule::parse(value);
       if (!schedule) return fail("bad --failures");
       opts.machine.failures = schedule->specs();
     } else if (key == "failure-detector") {
@@ -199,11 +195,11 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv, std::stri
       opts.mttf = *t;
     } else if (key == "distribution") {
       if (value == "uniform2m") {
-        opts.distribution = FailureDistribution::kUniform2Mttf;
+        opts.distribution = resilience::FailureDistribution::kUniform2Mttf;
       } else if (value == "exponential") {
-        opts.distribution = FailureDistribution::kExponential;
+        opts.distribution = resilience::FailureDistribution::kExponential;
       } else if (value == "weibull") {
-        opts.distribution = FailureDistribution::kWeibull;
+        opts.distribution = resilience::FailureDistribution::kWeibull;
       } else {
         return fail("bad --distribution");
       }
@@ -227,9 +223,6 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv, std::stri
     } else if (key == "scheduler") {
       if (!parse_scheduler_spec(value)) return fail("bad --scheduler");
       opts.machine.scheduler = value;
-    } else if (key == "speculate") {
-      if (!parse_int(value, &ll) || ll < 0) return fail("bad --speculate");
-      opts.machine.speculate = static_cast<int>(ll);
     } else if (key == "stack-bytes" && parse_int(value, &ll)) {
       opts.machine.process.fiber_stack_bytes = static_cast<std::size_t>(ll);
     } else if (key == "no-pool") {
@@ -257,7 +250,8 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv, std::stri
     opts.machine.topology = "star:" + std::to_string(nodes);
   }
 
-  if (auto bad = FailureSchedule(opts.machine.failures).first_invalid_rank(opts.machine.ranks)) {
+  if (auto bad = resilience::FailureSchedule(opts.machine.failures)
+                     .first_invalid_rank(opts.machine.ranks)) {
     return fail("failure schedule rank out of range: " + std::to_string(*bad));
   }
   return opts;

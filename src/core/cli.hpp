@@ -35,14 +35,12 @@ namespace exasim::core {
 ///   --sim-time-file=PATH      --verbose
 ///   --replicates=N            --jobs=N
 ///   --sim-workers=N|auto      (or environment EXASIM_SIM_WORKERS)
-///   --scheduler=fixed|adaptive[:stretch=N][,gpw=N]
-///                             (or environment EXASIM_SCHEDULER)
-///   --speculate=N             (or environment EXASIM_SPECULATE)
+///   --scheduler=fixed|adaptive  (or environment EXASIM_SCHEDULER)
 ///   --no-pool                 (or environment EXASIM_NO_POOL=1)
 struct CliOptions {
   SimConfig machine;
   std::optional<SimTime> mttf;
-  FailureDistribution distribution = FailureDistribution::kUniform2Mttf;
+  resilience::FailureDistribution distribution = resilience::FailureDistribution::kUniform2Mttf;
   std::uint64_t seed = 1;
   int max_restarts = 10000;
   std::string sim_time_file;

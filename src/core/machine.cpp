@@ -17,6 +17,9 @@ namespace exasim::core {
 Machine::Machine(SimConfig config, vmpi::AppMain app)
     : config_(std::move(config)), app_(std::move(app)) {
   if (config_.ranks <= 0) throw std::invalid_argument("ranks <= 0");
+  if (config_.speculate > 0) {
+    throw std::invalid_argument("SimConfig::speculate is retired; leave it 0");
+  }
   for (const auto& f : config_.failures) {
     if (f.rank < 0 || f.rank >= config_.ranks) {
       throw std::invalid_argument("failure schedule rank out of range");
@@ -138,13 +141,12 @@ SimResult Machine::run() {
   // conservative window (µs-scale) late, which the ms-scale failure
   // timeouts governing observable behavior absorb.
   const auto* hier = dynamic_cast<const HierarchicalNetwork*>(network_.get());
-  const SchedulerSpec scheduler = resolve_scheduler_spec(config_.scheduler);
+  const SchedulerKind scheduler = resolve_scheduler_spec(config_.scheduler);
   Engine::ShardingOptions shard;
   shard.workers = resolve_sim_workers(config_.sim_workers);
   shard.lookahead = network_->min_remote_latency();
   shard.block_alignment = hier ? hier->ranks_per_node() : config_.ranks_per_node;
   shard.scheduler = scheduler;
-  shard.speculate = resolve_speculation(config_.speculate);
   if (network_->params().contention && shard.workers > 1) {
     // Busy-window interleaving across LP groups depends on window boundaries:
     // contention delays are a modeled approximation there, not the exact

@@ -104,17 +104,14 @@ struct SimConfig {
   /// delivers the identical simulated schedule.
   int sim_workers = 0;
 
-  /// Window scheduler policy spec ("fixed", "adaptive",
-  /// "adaptive:stretch=N,gpw=N"); empty defers to EXASIM_SCHEDULER, unset
-  /// environment means "fixed" (exasim::resolve_scheduler_spec). Every
-  /// setting delivers the identical simulated schedule (DESIGN.md §11).
+  /// Window scheduler policy ("fixed" or "adaptive"); empty defers to
+  /// EXASIM_SCHEDULER, unset environment means "fixed"
+  /// (exasim::resolve_scheduler_spec). Either policy delivers the identical
+  /// simulated schedule (DESIGN.md §11).
   std::string scheduler;
 
-  /// Bounded speculation depth (--speculate=N): maximum events per LP group
-  /// staged past the conservative window bound, rolled back when a merged-in
-  /// event invalidates them; 0 = off, negative defers to EXASIM_SPECULATE.
-  /// Identical simulated schedule at any depth.
-  int speculate = -1;
+  /// Retired (no speculation any more); kept for perfbench, Machine rejects > 0.
+  int speculate = 0;
 };
 
 /// Result of one simulated application execution.

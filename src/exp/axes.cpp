@@ -26,12 +26,12 @@ Axis scheduler_axis() {
   return axis;
 }
 
-SchedulerSpec scheduler_spec_for(std::size_t value_index) {
+SchedulerKind scheduler_kind_for(std::size_t value_index) {
   const auto& names = list_schedulers();
   if (value_index >= names.size()) throw std::out_of_range("scheduler axis index");
-  auto spec = parse_scheduler_spec(names[value_index]);
-  if (!spec) throw std::logic_error("unparsable registered scheduler name");
-  return *spec;
+  auto kind = parse_scheduler_spec(names[value_index]);
+  if (!kind) throw std::logic_error("unparsable registered scheduler name");
+  return *kind;
 }
 
 Axis routing_axis() {

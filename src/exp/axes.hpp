@@ -23,8 +23,8 @@ resilience::DetectorSpec detector_spec_for(std::size_t value_index);
 /// policies (the simulated result is policy-invariant by design).
 Axis scheduler_axis();
 
-/// SchedulerSpec for a scheduler_axis() value index (family defaults).
-SchedulerSpec scheduler_spec_for(std::size_t value_index);
+/// SchedulerKind for a scheduler_axis() value index.
+SchedulerKind scheduler_kind_for(std::size_t value_index);
 
 /// The routing-policy axis: one value per registered routing family
 /// (deterministic, adaptive), in registry order — for campaigns comparing

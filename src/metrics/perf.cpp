@@ -29,8 +29,6 @@ PerfSnapshot perf_snapshot() {
   s.sched_windows = sc.windows;
   s.sched_window_widenings = sc.window_widenings;
   s.sched_steals = sc.steals;
-  s.sched_speculated = sc.speculated;
-  s.sched_rollbacks = sc.rollbacks;
   s.sched_barrier_idle_ns = sc.barrier_idle_ns;
   const FiberDispatchStats fd = fiber_dispatch_stats();
   s.fiber_resumes = fd.resumes;
@@ -62,8 +60,6 @@ PerfSnapshot perf_delta(const PerfSnapshot& begin, const PerfSnapshot& end) {
   d.sched_windows = end.sched_windows - begin.sched_windows;
   d.sched_window_widenings = end.sched_window_widenings - begin.sched_window_widenings;
   d.sched_steals = end.sched_steals - begin.sched_steals;
-  d.sched_speculated = end.sched_speculated - begin.sched_speculated;
-  d.sched_rollbacks = end.sched_rollbacks - begin.sched_rollbacks;
   d.sched_barrier_idle_ns = end.sched_barrier_idle_ns - begin.sched_barrier_idle_ns;
   d.fiber_resumes = end.fiber_resumes - begin.fiber_resumes;
   d.wakeups_suppressed = end.wakeups_suppressed - begin.wakeups_suppressed;

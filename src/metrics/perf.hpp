@@ -26,14 +26,14 @@ struct PerfSnapshot {
   std::uint64_t fanout_relays = 0;      ///< Cross-group relay carrier events.
   std::uint64_t fanout_dead_skips = 0;  ///< Dead-destination items skipped.
 
-  // Sharded-engine scheduler (window policy / stealing / speculation;
-  // DESIGN.md §11). Host-timing-sensitive statistics — never part of the
-  // simulated result, which is identical for every worker count and policy.
+  // Sharded-engine scheduler (window policy / stealing; DESIGN.md §11).
+  // Host-timing-sensitive statistics — never part of the simulated result,
+  // which is identical for every worker count and policy.
   std::uint64_t sched_windows = 0;           ///< Window phases decided.
   std::uint64_t sched_window_widenings = 0;  ///< Group bounds wider than fixed.
   std::uint64_t sched_steals = 0;            ///< Groups run by non-home workers.
-  std::uint64_t sched_speculated = 0;        ///< Events staged past a bound.
-  std::uint64_t sched_rollbacks = 0;         ///< Staged events invalidated.
+  std::uint64_t sched_speculated = 0;        ///< Retired, always 0; kept for perfbench.
+  std::uint64_t sched_rollbacks = 0;         ///< Retired, always 0; kept for perfbench.
   std::uint64_t sched_barrier_idle_ns = 0;   ///< Worker ns waiting at barriers.
 
   // Hot-path dispatch & queue traffic (DESIGN.md §13): fiber context

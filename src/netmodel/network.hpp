@@ -86,7 +86,7 @@ class NetworkModel {
 
   /// Failure-detection timeout for the (src, dst) pair: the configured
   /// uniform timeout, or — with a per-link table — the max over the canonical
-  /// (variant-0) route's links, so a hot link anywhere on the path stretches
+  /// (variant-0) route's links, so a hot link anywhere on the path lengthens
   /// the pair's detection bound. The canonical route keeps this independent
   /// of per-flow adaptive variant choices (detection configuration must not
   /// depend on message interleaving).

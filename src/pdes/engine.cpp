@@ -57,8 +57,6 @@ void Engine::set_sharding(ShardingOptions opts) {
   if (opts.workers < 1) opts.workers = 1;
   if (opts.lookahead < 1) opts.lookahead = 1;  // windows must make progress
   if (opts.block_alignment < 1) opts.block_alignment = 1;
-  if (opts.speculate < 0) opts.speculate = 0;
-  if (opts.scheduler.groups_per_worker < 0) opts.scheduler.groups_per_worker = 0;
   sharding_ = std::move(opts);
 }
 
@@ -274,13 +272,11 @@ void Engine::plan_shape(int* workers, int* group_count) const {
   std::size_t w = static_cast<std::size_t>(sharding_.workers);
   if (w > blocks) w = blocks;
   if (w < 1) w = 1;
-  // Groups-per-worker oversubscription gives finished workers something to
-  // steal; the fixed policy defaults to the legacy one-group-per-worker
-  // shape, the adaptive policy to 4 (more, smaller groups even out uneven
-  // event density).
-  std::size_t gpw = static_cast<std::size_t>(sharding_.scheduler.groups_per_worker);
-  if (gpw < 1) gpw = sharding_.scheduler.kind == SchedulerKind::kAdaptive ? 4 : 1;
-  std::size_t g = w * gpw;
+  // Oversubscription gives finished workers something to steal: the fixed
+  // policy keeps one group per worker, the adaptive policy runs 4 (more,
+  // smaller groups even out uneven event density).
+  const std::size_t per_worker = sharding_.scheduler == SchedulerKind::kAdaptive ? 4 : 1;
+  std::size_t g = w * per_worker;
   if (g > blocks) g = blocks;
   if (g < w) g = w;
   *workers = static_cast<int>(w);
@@ -456,16 +452,11 @@ void Engine::run_parallel(int workers, int group_count) {
 
   // Fold group-local state back into the engine for the post-run accessors,
   // and the run's scheduler bookkeeping into the process-wide counters.
-  std::uint64_t speculated = 0;
-  std::uint64_t rollbacks = 0;
   for (auto& grp : plan.groups) {
     events_processed_ += grp->events_processed;
     events_dropped_dead_ += grp->events_dropped_dead;
-    speculated += grp->speculated_events;
-    rollbacks += grp->rollbacks;
     if (grp->now() > now_) now_ = grp->now();
     queue_note(grp->queue().take_stats());
-    while (!grp->stage().empty()) queue_.push(grp->pop_stage());
     while (!grp->queue().empty()) queue_.push(grp->queue().pop());
     for (int dst = 0; dst < group_count; ++dst) {
       for (Event& ev : grp->outbox_for(dst)) queue_.push(std::move(ev));
@@ -476,7 +467,7 @@ void Engine::run_parallel(int workers, int group_count) {
   std::uint64_t idle_ns = 0;
   for (std::uint64_t s : plan.steals_by_worker) steals += s;
   for (std::uint64_t ns : plan.idle_ns_by_worker) idle_ns += ns;
-  sched_note_run(steals, speculated, rollbacks, idle_ns);
+  sched_note_run(steals, idle_ns);
   group_of_.clear();
   if (plan.first_error) std::rethrow_exception(plan.first_error);
 }
@@ -514,7 +505,7 @@ void Engine::worker_main(WorkerPlan& plan, int worker) {
         if (!sync.try_claim_merge(g)) continue;
         LpGroup& grp = *plan.groups[static_cast<std::size_t>(g)];
         merge_group(plan.groups, grp);
-        sync.publish_min(g, grp.pending_min());
+        sync.publish_min(g, grp.queue().min_time());
         sync.publish_window_events(g, grp.window_events_last);
         sync.publish_progressed(g, grp.stall_progressed);
       }
@@ -565,40 +556,13 @@ void Engine::worker_main(WorkerPlan& plan, int worker) {
 }
 
 void Engine::merge_group(std::vector<std::unique_ptr<LpGroup>>& groups, LpGroup& grp) {
-  // Track the minimum incoming key while draining, to invalidate staged
-  // speculation: any staged event an incoming one orders before must go back
-  // to the heap (it would otherwise be delivered too early). The stage is
-  // kept ascending, so the invalidated set is a suffix.
-  const bool watch_min = !grp.stage().empty();
-  bool have_min = false;
-  EventKey inc_min{};
   for (auto& src : groups) {
-    if (src.get() == &grp) continue;
-    std::vector<Event>& inbox = src->outbox_for(grp.index());
-    if (watch_min) {
-      for (const Event& ev : inbox) {
-        const EventKey k = key_of(ev);
-        if (!have_min || key_less(k, inc_min)) {
-          inc_min = k;
-          have_min = true;
-        }
-      }
-    }
-    grp.merge_inbox(inbox);
-  }
-  if (have_min) {
-    auto& stage = grp.stage();
-    while (!stage.empty() && key_less(inc_min, key_of(stage.back()))) {
-      grp.queue().push(std::move(stage.back()));
-      stage.pop_back();
-      ++grp.rollbacks;
-    }
+    if (src.get() != &grp) grp.merge_inbox(src->outbox_for(grp.index()));
   }
 }
 
 void Engine::run_window(LpGroup& grp, SimTime bound) {
   EventQueue& q = grp.queue();
-  auto& stage = grp.stage();
   std::uint64_t delivered = 0;
   // The window bound is the natural O(1) near-horizon for this group's
   // queue: everything deliverable this window lands in the buckets, the rest
@@ -607,23 +571,8 @@ void Engine::run_window(LpGroup& grp, SimTime bound) {
   q.set_horizon(base, bound > base ? bound - base : 1);
   // Deliberately no stop check inside the window: every group finishes the
   // full window, so the delivered set stays deterministic per worker count.
-  // Delivery is a two-way merge of the speculation stage and the heap: a
-  // handler may self-schedule an event that orders before a later staged
-  // entry (same timestamp, control priority), and the merge keeps the global
-  // key order exact either way.
-  for (;;) {
-    const bool stage_has = !stage.empty();
-    const bool heap_has = !q.empty();
-    bool from_stage;
-    if (stage_has && heap_has) {
-      from_stage = EventOrder{}(stage.front(), q.peek());
-    } else if (stage_has || heap_has) {
-      from_stage = stage_has;
-    } else {
-      break;
-    }
-    if ((from_stage ? stage.front().time : q.peek().time) >= bound) break;
-    Event ev = from_stage ? grp.pop_stage() : q.pop();
+  while (q.min_time() < bound) {
+    Event ev = q.pop();
     if (ev.kind == kRelayEventKind) {
       // The carrier's key is the minimum over its batch, so every item lands
       // in the heap before it could have been due; relays are transport, not
@@ -645,28 +594,6 @@ void Engine::run_window(LpGroup& grp, SimTime bound) {
     grp.set_current_source(kExternalSource);
   }
   grp.window_events_last = delivered;
-
-  // Bounded speculation: pop (stage) up to `speculate` events past the bound
-  // so the next window starts from pre-decoded, pre-sorted work. Handlers of
-  // this window may have self-scheduled events ordering before a staged
-  // leftover — push such suffixes back first so the stage stays ascending
-  // and staging pops append in key order.
-  const int depth = sharding_.speculate;
-  if (depth <= 0) return;
-  while (!stage.empty() && !q.empty() && EventOrder{}(q.peek(), stage.back())) {
-    q.push(std::move(stage.back()));
-    stage.pop_back();
-    ++grp.rollbacks;
-  }
-  while (static_cast<int>(stage.size()) < depth && !q.empty()) {
-    Event ev = q.pop();
-    if (ev.kind == kRelayEventKind) {
-      unpack_relay(grp, std::move(ev));
-      continue;
-    }
-    ++grp.speculated_events;
-    stage.push_back(std::move(ev));
-  }
 }
 
 bool Engine::run_stall(LpGroup& grp) {

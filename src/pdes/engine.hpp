@@ -62,15 +62,13 @@ class LogicalProcess {
 /// steal leftovers in group-id order. Cross-group events ride per-(source →
 /// target) mailboxes merged at the window barrier; because the safe window
 /// bounds and the ordering key are both partition-independent, every worker
-/// count, scheduler policy, and speculation depth delivers the identical
-/// event schedule.
+/// count and scheduler policy delivers the identical event schedule.
 class Engine {
  public:
   /// How to shard the LPs over worker threads. Applies to the next run().
   struct ShardingOptions {
-    /// Worker threads. 1 selects the sequential engine (with the default
-    /// one-group-per-worker scheduler); clamped down to the number of
-    /// alignment blocks.
+    /// Worker threads. 1 selects the sequential engine (with the fixed
+    /// policy); clamped down to the number of alignment blocks.
     int workers = 1;
     /// Conservative window width, normally
     /// NetworkModel::min_remote_latency() — a provable lower bound over any
@@ -86,14 +84,9 @@ class Engine {
     /// Optional explicit partition override mapping LP id → group index in
     /// [0, groups); when set it replaces the contiguous-block partition.
     std::function<int(LpId)> group_of;
-    /// Window scheduling policy (fixed or adaptive) and its parameters,
-    /// including groups-per-worker oversubscription for work-stealing.
-    SchedulerSpec scheduler;
-    /// Bounded speculation depth: maximum events per group popped (staged)
-    /// past the window bound ahead of their commit; 0 disables. Staged
-    /// events that a merged-in earlier event invalidates are rolled back to
-    /// the heap, so the delivered schedule is unchanged (DESIGN.md §11).
-    int speculate = 0;
+    /// Window scheduling policy. It also fixes the group count: fixed runs
+    /// one LP group per worker, adaptive four so finished workers can steal.
+    SchedulerKind scheduler = SchedulerKind::kFixed;
   };
 
   /// What Engine::schedule does when an event is scheduled before the

@@ -63,8 +63,7 @@ struct Event {
 };
 
 /// The ordering key of an Event, detached from its payload — copyable, so
-/// the engine can remember "the minimum key seen" (speculation rollback)
-/// without copying events.
+/// keys can be compared and kept without copying events.
 struct EventKey {
   SimTime time = 0;
   EventPriority priority = EventPriority::kMessage;

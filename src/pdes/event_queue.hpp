@@ -52,7 +52,6 @@ class EventQueue {
   SimTime min_time() const;
 
   /// The earliest event without removing it; undefined on an empty queue.
-  /// Used by the engine's stage/heap two-way delivery merge.
   const Event& peek() const;
 
   bool empty() const { return size_ == 0; }

@@ -15,11 +15,9 @@ namespace {
 std::atomic<std::uint64_t> g_sched_windows{0};
 std::atomic<std::uint64_t> g_sched_widenings{0};
 std::atomic<std::uint64_t> g_sched_steals{0};
-std::atomic<std::uint64_t> g_sched_speculated{0};
-std::atomic<std::uint64_t> g_sched_rollbacks{0};
 std::atomic<std::uint64_t> g_sched_idle_ns{0};
 
-/// Feedback thresholds for the adaptive stretch controller: a group that
+/// Feedback thresholds for the adaptive reach controller: a group that
 /// delivered fewer events than kSparseEvents in its last window is running
 /// windows too fine (barrier overhead dominates) and may widen; one that
 /// delivered more than kDenseEvents narrows back so no group runs unboundedly
@@ -27,73 +25,16 @@ std::atomic<std::uint64_t> g_sched_idle_ns{0};
 constexpr std::uint64_t kSparseEvents = 64;
 constexpr std::uint64_t kDenseEvents = 8192;
 
-bool parse_int_field(const std::string& v, int* out) {
-  if (v.empty()) return false;
-  char* end = nullptr;
-  const long parsed = std::strtol(v.c_str(), &end, 10);
-  if (end != v.c_str() + v.size() || parsed < 1 || parsed > 1 << 20) return false;
-  *out = static_cast<int>(parsed);
-  return true;
-}
-
 }  // namespace
 
-std::optional<SchedulerSpec> parse_scheduler_spec(const std::string& text) {
-  SchedulerSpec spec;
-  std::string head = text;
-  std::string opts;
-  if (auto colon = text.find(':'); colon != std::string::npos) {
-    head = text.substr(0, colon);
-    opts = text.substr(colon + 1);
-  }
-  if (head == "fixed") {
-    spec.kind = SchedulerKind::kFixed;
-  } else if (head == "adaptive") {
-    spec.kind = SchedulerKind::kAdaptive;
-  } else {
-    return std::nullopt;
-  }
-  while (!opts.empty()) {
-    std::string field = opts;
-    if (auto comma = opts.find(','); comma != std::string::npos) {
-      field = opts.substr(0, comma);
-      opts = opts.substr(comma + 1);
-    } else {
-      opts.clear();
-    }
-    const auto eq = field.find('=');
-    if (eq == std::string::npos) return std::nullopt;
-    const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
-    if (key == "stretch") {
-      if (!parse_int_field(value, &spec.stretch_max)) return std::nullopt;
-    } else if (key == "gpw") {
-      if (!parse_int_field(value, &spec.groups_per_worker)) return std::nullopt;
-    } else {
-      return std::nullopt;
-    }
-  }
-  return spec;
+std::optional<SchedulerKind> parse_scheduler_spec(const std::string& text) {
+  if (text == "fixed") return SchedulerKind::kFixed;
+  if (text == "adaptive") return SchedulerKind::kAdaptive;
+  return std::nullopt;
 }
 
-std::string to_string(const SchedulerSpec& spec) {
-  if (spec.kind == SchedulerKind::kFixed) {
-    std::string s = "fixed";
-    if (spec.groups_per_worker > 0) s += ":gpw=" + std::to_string(spec.groups_per_worker);
-    return s;
-  }
-  std::string s = "adaptive";
-  const SchedulerSpec defaults;
-  std::string opts;
-  if (spec.stretch_max != defaults.stretch_max) {
-    opts += "stretch=" + std::to_string(spec.stretch_max);
-  }
-  if (spec.groups_per_worker > 0) {
-    if (!opts.empty()) opts += ",";
-    opts += "gpw=" + std::to_string(spec.groups_per_worker);
-  }
-  if (!opts.empty()) s += ":" + opts;
-  return s;
+const char* to_string(SchedulerKind kind) {
+  return kind == SchedulerKind::kAdaptive ? "adaptive" : "fixed";
 }
 
 const std::vector<std::string>& list_schedulers() {
@@ -101,26 +42,16 @@ const std::vector<std::string>& list_schedulers() {
   return kNames;
 }
 
-SchedulerSpec resolve_scheduler_spec(const std::string& configured) {
+SchedulerKind resolve_scheduler_spec(const std::string& configured) {
   if (!configured.empty()) {
-    auto spec = parse_scheduler_spec(configured);
-    if (!spec) throw std::invalid_argument("malformed scheduler spec: " + configured);
-    return *spec;
+    auto kind = parse_scheduler_spec(configured);
+    if (!kind) throw std::invalid_argument("malformed scheduler spec: " + configured);
+    return *kind;
   }
   if (const char* env = std::getenv(kSchedulerEnvVar); env != nullptr && *env != '\0') {
-    if (auto spec = parse_scheduler_spec(env)) return *spec;
+    if (auto kind = parse_scheduler_spec(env)) return *kind;
   }
-  return SchedulerSpec{};
-}
-
-int resolve_speculation(int configured) {
-  if (configured >= 0) return configured;
-  if (const char* env = std::getenv(kSpeculateEnvVar); env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && parsed >= 0) return static_cast<int>(parsed);
-  }
-  return 0;
+  return SchedulerKind::kFixed;
 }
 
 int FixedWindowPolicy::plan(const SchedFeedback& fb, SimTime lookahead,
@@ -136,7 +67,7 @@ int FixedWindowPolicy::plan(const SchedFeedback& fb, SimTime lookahead,
 int AdaptiveWindowPolicy::plan(const SchedFeedback& fb, SimTime lookahead,
                                std::vector<SimTime>& bounds) {
   const std::size_t groups = fb.mins.size();
-  if (stretch_.size() != groups) stretch_.assign(groups, 1);
+  if (reach_.size() != groups) reach_.assign(groups, 1);
 
   // Saturating t + n*lookahead.
   auto widen = [&](SimTime t, std::uint64_t n) {
@@ -165,22 +96,21 @@ int AdaptiveWindowPolicy::plan(const SchedFeedback& fb, SimTime lookahead,
   }
   const SimTime fixed_bound = widen(global_min, 1);
 
-  // Stretch feedback: groups that delivered sparse windows (and workers did
-  // idle at the barriers) widen; dense groups narrow back. The stretch only
+  // Reach feedback: groups that delivered sparse windows (and workers did
+  // idle at the barriers) widen; dense groups narrow back. The reach only
   // caps the group's own headroom — safety comes from the envelope below.
   const bool idled = fb.idle_ns > 0;
   int widenings = 0;
   for (std::size_t g = 0; g < groups; ++g) {
     if (fb.window_events[g] > kDenseEvents) {
-      stretch_[g] = std::max<std::uint32_t>(1, stretch_[g] / 2);
+      reach_[g] = std::max<std::uint32_t>(1, reach_[g] / 2);
     } else if (idled && fb.window_events[g] < kSparseEvents) {
-      stretch_[g] = std::min<std::uint32_t>(static_cast<std::uint32_t>(stretch_max_),
-                                            stretch_[g] * 2);
+      reach_[g] = std::min(kMaxReach, reach_[g] * 2);
     }
     const SimTime others_min =
         (fb.mins[g] == global_min && min_count == 1) ? second_min : global_min;
     const SimTime envelope = widen(others_min, 1);
-    const SimTime desired = widen(fb.mins[g], stretch_[g]);
+    const SimTime desired = widen(fb.mins[g], reach_[g]);
     SimTime bound = std::min(envelope, desired);
     if (bound < fixed_bound) bound = fixed_bound;  // never narrower than fixed
     bounds[g] = bound;
@@ -189,10 +119,8 @@ int AdaptiveWindowPolicy::plan(const SchedFeedback& fb, SimTime lookahead,
   return widenings;
 }
 
-std::unique_ptr<SchedulerPolicy> make_scheduler(const SchedulerSpec& spec) {
-  if (spec.kind == SchedulerKind::kAdaptive) {
-    return std::make_unique<AdaptiveWindowPolicy>(spec.stretch_max);
-  }
+std::unique_ptr<SchedulerPolicy> make_scheduler(SchedulerKind kind) {
+  if (kind == SchedulerKind::kAdaptive) return std::make_unique<AdaptiveWindowPolicy>();
   return std::make_unique<FixedWindowPolicy>();
 }
 
@@ -201,8 +129,6 @@ SchedStats sched_stats() {
   s.windows = g_sched_windows.load(std::memory_order_relaxed);
   s.window_widenings = g_sched_widenings.load(std::memory_order_relaxed);
   s.steals = g_sched_steals.load(std::memory_order_relaxed);
-  s.speculated = g_sched_speculated.load(std::memory_order_relaxed);
-  s.rollbacks = g_sched_rollbacks.load(std::memory_order_relaxed);
   s.barrier_idle_ns = g_sched_idle_ns.load(std::memory_order_relaxed);
   return s;
 }
@@ -212,11 +138,8 @@ void sched_note_window(std::uint64_t widenings) {
   if (widenings != 0) g_sched_widenings.fetch_add(widenings, std::memory_order_relaxed);
 }
 
-void sched_note_run(std::uint64_t steals, std::uint64_t speculated,
-                    std::uint64_t rollbacks, std::uint64_t barrier_idle_ns) {
+void sched_note_run(std::uint64_t steals, std::uint64_t barrier_idle_ns) {
   if (steals != 0) g_sched_steals.fetch_add(steals, std::memory_order_relaxed);
-  if (speculated != 0) g_sched_speculated.fetch_add(speculated, std::memory_order_relaxed);
-  if (rollbacks != 0) g_sched_rollbacks.fetch_add(rollbacks, std::memory_order_relaxed);
   if (barrier_idle_ns != 0) {
     g_sched_idle_ns.fetch_add(barrier_idle_ns, std::memory_order_relaxed);
   }

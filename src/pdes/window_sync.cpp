@@ -42,7 +42,7 @@ void WindowSync::decide() noexcept {
     sched_note_window(static_cast<std::uint64_t>(widenings));
     return;
   }
-  // All heaps, stages and mailboxes drained. If the previous phase was
+  // All heaps and mailboxes drained. If the previous phase was
   // already a stall round and nobody progressed, the remaining LPs are
   // deadlocked.
   bool progressed = false;

@@ -28,8 +28,8 @@ namespace exasim {
 ///
 ///   sync_outboxes();            // barrier: previous-window writes visible;
 ///                               // completion resets the merge claims
-///   for g: try_claim_merge(g) → merge g's inbound mailboxes, roll back
-///          invalidated speculation, publish g's pending min + feedback
+///   for g: try_claim_merge(g) → merge g's inbound mailboxes, publish g's
+///          pending min + feedback
 ///   publish_idle_ns(worker, …);
 ///   sync_decide();              // barrier; completion runs decide() once
 ///   switch (phase()) {
@@ -73,7 +73,7 @@ class WindowSync {
     idle_ns_[static_cast<std::size_t>(worker)] = ns;
   }
 
-  /// Pre-merge rendezvous: after it, all groups' outbox/stage writes of the
+  /// Pre-merge rendezvous: after it, all groups' outbox writes of the
   /// previous phase are visible and no new writes happen until sync_decide().
   /// The completion re-arms the merge claim tokens.
   void sync_outboxes() { pre_merge_.arrive_and_wait(); }

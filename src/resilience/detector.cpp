@@ -284,13 +284,4 @@ std::unique_ptr<DetectorModel> make_detector(const DetectorSpec& spec, DetectorW
   throw std::invalid_argument("bad detector kind");
 }
 
-std::unique_ptr<DetectorModel> make_detector(const DetectorSpec& spec,
-                                             PairTimeoutFn pair_timeout,
-                                             SimTime default_heartbeat_period) {
-  DetectorWiring wiring;
-  wiring.pair_timeout = std::move(pair_timeout);
-  wiring.default_period = default_heartbeat_period;
-  return make_detector(spec, std::move(wiring));
-}
-
 }  // namespace exasim::resilience

@@ -74,7 +74,7 @@ const std::vector<DetectorInfo>& list_detectors();
 /// network model (core wires Fabric::failure_timeout in) — keeps this library
 /// below vmpi/core in the link order. With per-link timeout overrides
 /// (NetworkParams::link_timeouts, DESIGN.md §12) this is the max over the
-/// pair's canonical route, so a hot link anywhere on the path stretches the
+/// pair's canonical route, so a hot link anywhere on the path lengthens the
 /// observer's detection bound.
 using PairTimeoutFn = std::function<SimTime(int observer_rank, int failed_rank)>;
 
@@ -189,13 +189,5 @@ struct DetectorWiring {
 /// std::invalid_argument when the spec needs wiring that is absent (e.g.
 /// gossip without pair_latency/ranks).
 std::unique_ptr<DetectorModel> make_detector(const DetectorSpec& spec, DetectorWiring wiring);
-
-/// Legacy convenience overload (pre-gossip callers): `pair_timeout` feeds the
-/// timeout detector; `default_heartbeat_period` replaces a zero
-/// heartbeat_period (callers pass the network's largest failure-detection
-/// timeout).
-std::unique_ptr<DetectorModel> make_detector(const DetectorSpec& spec,
-                                             PairTimeoutFn pair_timeout,
-                                             SimTime default_heartbeat_period);
 
 }  // namespace exasim::resilience

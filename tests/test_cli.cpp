@@ -99,7 +99,7 @@ TEST(Cli, ParsesExperimentOptions) {
                      "--max-restarts=5", "--sim-time-file=/tmp/t.txt"});
   ASSERT_TRUE(opts.has_value());
   EXPECT_EQ(opts->mttf, sim_sec(3000));
-  EXPECT_EQ(opts->distribution, core::FailureDistribution::kExponential);
+  EXPECT_EQ(opts->distribution, resilience::FailureDistribution::kExponential);
   EXPECT_EQ(opts->seed, 77u);
   EXPECT_EQ(opts->max_restarts, 5);
   EXPECT_EQ(opts->sim_time_file, "/tmp/t.txt");
@@ -123,25 +123,25 @@ TEST(Cli, ParsesSimWorkers) {
   }
 }
 
-TEST(Cli, ParsesSchedulerAndSpeculate) {
+TEST(Cli, ParsesSchedulerPolicyOnly) {
   EnvGuard env(nullptr);
   auto defaulted = parse({"--ranks=8"});
   ASSERT_TRUE(defaulted.has_value());
   EXPECT_TRUE(defaulted->machine.scheduler.empty());  // "" = EXASIM_SCHEDULER env.
-  EXPECT_EQ(defaulted->machine.speculate, -1);        // -1 = EXASIM_SPECULATE env.
+  EXPECT_EQ(defaulted->machine.speculate, 0);
 
-  auto adaptive = parse({"--scheduler=adaptive:stretch=16,gpw=2", "--speculate=32"});
+  auto adaptive = parse({"--scheduler=adaptive"});
   ASSERT_TRUE(adaptive.has_value());
-  EXPECT_EQ(adaptive->machine.scheduler, "adaptive:stretch=16,gpw=2");
-  EXPECT_EQ(adaptive->machine.speculate, 32);
+  EXPECT_EQ(adaptive->machine.scheduler, "adaptive");
 
-  auto off = parse({"--scheduler=fixed", "--speculate=0"});
-  ASSERT_TRUE(off.has_value());
-  EXPECT_EQ(off->machine.scheduler, "fixed");
-  EXPECT_EQ(off->machine.speculate, 0);
+  auto fixed = parse({"--scheduler=fixed"});
+  ASSERT_TRUE(fixed.has_value());
+  EXPECT_EQ(fixed->machine.scheduler, "fixed");
 
-  for (auto bad : {"--scheduler=bogus", "--scheduler=adaptive:stretch=0",
-                   "--scheduler=adaptive:nope=1", "--speculate=-1", "--speculate=x"}) {
+  // The policies take no parameters, and speculation is retired.
+  for (auto bad : {"--scheduler=bogus", "--scheduler=adaptive:stretch=16,gpw=2",
+                   "--scheduler=fixed:gpw=2", "--scheduler=adaptive:nope=1",
+                   "--speculate=8", "--speculate=0"}) {
     std::string error;
     EXPECT_FALSE(parse({bad}, &error).has_value()) << bad;
     EXPECT_FALSE(error.empty());

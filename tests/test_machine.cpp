@@ -7,9 +7,9 @@
 
 #include "apps/heat3d.hpp"
 #include "ckpt/checkpoint.hpp"
-#include "core/failure.hpp"
 #include "netmodel/routing.hpp"
 #include "resilience/detector.hpp"
+#include "resilience/schedule.hpp"
 #include "sim_test_util.hpp"
 #include "util/pool.hpp"
 #include "vmpi/context.hpp"
@@ -18,9 +18,9 @@ namespace exasim {
 namespace {
 
 using core::Machine;
-using core::ReliabilityModel;
 using core::SimConfig;
 using core::SimResult;
+using resilience::ReliabilityModel;
 using test::run_app;
 using test::tiny_config;
 using vmpi::Context;
@@ -42,6 +42,11 @@ TEST(Machine, RejectsBadConfiguration) {
   {
     SimConfig cfg = tiny_config(4);
     cfg.topology = "star:2";  // Too small for 4 ranks.
+    EXPECT_THROW(Machine(cfg, noop), std::invalid_argument);
+  }
+  {
+    SimConfig cfg = tiny_config(2);
+    cfg.speculate = 8;  // Retired: an error, not silently ignored.
     EXPECT_THROW(Machine(cfg, noop), std::invalid_argument);
   }
 }
@@ -219,9 +224,8 @@ TEST(Machine, ShardedRunMatchesSequentialUnderFailure) {
 }
 
 TEST(Machine, ResultJsonIsSchedulerAndWorkerInvariant) {
-  // ISSUE 6 acceptance: the emitted --result-json must be byte-identical
-  // across --sim-workers 1/2/4 for both scheduling policies and with
-  // speculation on. A completing (failure-free) run is used so
+  // The emitted --result-json must be byte-identical across --sim-workers
+  // 1/2/4 for both scheduling policies. A completing (failure-free) run is used so
   // events_processed is exact for every worker count; the wall-clock tail
   // (wall_seconds / events_per_sec) is stripped exactly as
   // scripts/bench_smoke.sh does. Across policies the only legal difference
@@ -232,35 +236,32 @@ TEST(Machine, ResultJsonIsSchedulerAndWorkerInvariant) {
   p.total_iterations = 20;
   p.halo_interval = 5;
   p.checkpoint_interval = 10;
-  auto json_with = [&](int workers, const std::string& scheduler, int speculate) {
+  auto json_with = [&](int workers, const std::string& scheduler) {
     core::SimConfig cfg = tiny_config(8);
     cfg.sim_workers = workers;
     cfg.ranks_per_node = 2;
     cfg.scheduler = scheduler;
-    cfg.speculate = speculate;
     ckpt::CheckpointStore store(8);
     std::string json = core::sim_result_json(run_app(cfg, apps::make_heat3d(p), &store));
     const std::size_t tail = json.find(",\"wall_seconds\"");
     EXPECT_NE(tail, std::string::npos);
     return json.substr(0, tail);
   };
-  const std::string ref = json_with(1, "fixed", 0);
+  const std::string ref = json_with(1, "fixed");
   EXPECT_NE(ref.find("\"outcome\":\"completed\""), std::string::npos);
   EXPECT_NE(ref.find("\"scheduler\":\"fixed\""), std::string::npos);
   for (int workers : {1, 2, 4}) {
     for (const char* scheduler : {"fixed", "adaptive"}) {
-      for (int speculate : {0, 16}) {
-        SCOPED_TRACE(std::string("workers=") + std::to_string(workers) +
-                     " scheduler=" + scheduler + " speculate=" + std::to_string(speculate));
-        std::string json = json_with(workers, scheduler, speculate);
-        // Normalize the config echo so only real result divergence remains.
-        const std::string adaptive_echo = "\"scheduler\":\"adaptive\"";
-        const std::size_t echo = json.find(adaptive_echo);
-        if (echo != std::string::npos) {
-          json.replace(echo, adaptive_echo.size(), "\"scheduler\":\"fixed\"");
-        }
-        EXPECT_EQ(json, ref);
+      SCOPED_TRACE(std::string("workers=") + std::to_string(workers) +
+                   " scheduler=" + scheduler);
+      std::string json = json_with(workers, scheduler);
+      // Normalize the config echo so only real result divergence remains.
+      const std::string adaptive_echo = "\"scheduler\":\"adaptive\"";
+      const std::size_t echo = json.find(adaptive_echo);
+      if (echo != std::string::npos) {
+        json.replace(echo, adaptive_echo.size(), "\"scheduler\":\"fixed\"");
       }
+      EXPECT_EQ(json, ref);
     }
   }
 }
@@ -427,7 +428,7 @@ TEST(Machine, PoolingDoesNotChangeSimulatedResults) {
 }
 
 TEST(ReliabilityModel, Uniform2MttfDrawsInRange) {
-  ReliabilityModel m(core::FailureDistribution::kUniform2Mttf, sim_sec(6000), 32768, 42);
+  ReliabilityModel m(resilience::FailureDistribution::kUniform2Mttf, sim_sec(6000), 32768, 42);
   for (int i = 0; i < 500; ++i) {
     FailureSpec f = m.draw();
     EXPECT_GE(f.rank, 0);
@@ -437,7 +438,7 @@ TEST(ReliabilityModel, Uniform2MttfDrawsInRange) {
 }
 
 TEST(ReliabilityModel, ExponentialMeanRoughlyMttf) {
-  ReliabilityModel m(core::FailureDistribution::kExponential, sim_sec(100), 8, 7);
+  ReliabilityModel m(resilience::FailureDistribution::kExponential, sim_sec(100), 8, 7);
   double sum = 0;
   const int n = 5000;
   for (int i = 0; i < n; ++i) sum += to_seconds(m.draw().time);
@@ -445,7 +446,7 @@ TEST(ReliabilityModel, ExponentialMeanRoughlyMttf) {
 }
 
 TEST(ReliabilityModel, WeibullMeanRoughlyMttf) {
-  ReliabilityModel m(core::FailureDistribution::kWeibull, sim_sec(100), 8, 9);
+  ReliabilityModel m(resilience::FailureDistribution::kWeibull, sim_sec(100), 8, 9);
   double sum = 0;
   const int n = 8000;
   for (int i = 0; i < n; ++i) sum += to_seconds(m.draw().time);
@@ -453,17 +454,17 @@ TEST(ReliabilityModel, WeibullMeanRoughlyMttf) {
 }
 
 TEST(ReliabilityModel, ExpectedFailuresFormulas) {
-  ReliabilityModel uniform(core::FailureDistribution::kUniform2Mttf, sim_sec(100), 8, 1);
+  ReliabilityModel uniform(resilience::FailureDistribution::kUniform2Mttf, sim_sec(100), 8, 1);
   EXPECT_DOUBLE_EQ(uniform.expected_failures(sim_sec(50)), 0.25);
   EXPECT_DOUBLE_EQ(uniform.expected_failures(sim_sec(500)), 1.0);  // Capped.
-  ReliabilityModel expo(core::FailureDistribution::kExponential, sim_sec(100), 8, 1);
+  ReliabilityModel expo(resilience::FailureDistribution::kExponential, sim_sec(100), 8, 1);
   EXPECT_DOUBLE_EQ(expo.expected_failures(sim_sec(50)), 0.5);
 }
 
 TEST(ReliabilityModel, RejectsBadArgs) {
-  EXPECT_THROW(ReliabilityModel(core::FailureDistribution::kExponential, 0, 8, 1),
+  EXPECT_THROW(ReliabilityModel(resilience::FailureDistribution::kExponential, 0, 8, 1),
                std::invalid_argument);
-  EXPECT_THROW(ReliabilityModel(core::FailureDistribution::kExponential, sim_sec(1), 0, 1),
+  EXPECT_THROW(ReliabilityModel(resilience::FailureDistribution::kExponential, sim_sec(1), 0, 1),
                std::invalid_argument);
 }
 

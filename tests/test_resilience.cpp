@@ -140,7 +140,9 @@ TEST(DetectorModel, HeartbeatRoundsUpToMissedPeriods) {
 TEST(DetectorModel, MakeDetectorSubstitutesAutoHeartbeatPeriod) {
   auto spec = resilience::parse_detector_spec("heartbeat:miss=1");
   ASSERT_TRUE(spec.has_value());
-  auto d = resilience::make_detector(*spec, nullptr, sim_ms(50));
+  resilience::DetectorWiring wiring;
+  wiring.default_period = sim_ms(50);
+  auto d = resilience::make_detector(*spec, std::move(wiring));
   // Auto period = the supplied default (the network's max failure timeout).
   EXPECT_EQ(d->detection_time(0, 1, 0), sim_ms(50));
 }

@@ -197,10 +197,19 @@ TEST(CheckpointCopies, RecordSortsByLevelAndRequiresBegin) {
   store.finalize(1, 0);
   store.record_copy(1, 0, CopyRecord{.level = 2, .holder = -1});
   store.record_copy(1, 0, CopyRecord{.level = 0, .holder = 0});
-  const auto copies = store.copies(1, 0);
+  auto copies = store.copies(1, 0);
   ASSERT_EQ(copies.size(), 2u);
   EXPECT_EQ(copies[0].level, 0);
   EXPECT_EQ(copies[1].level, 2);
+  // Equal levels keep record order: later copies go after earlier ones.
+  store.record_copy(1, 0, CopyRecord{.level = 2, .holder = -1, .ready_time = 7});
+  store.record_copy(1, 0, CopyRecord{.level = 0, .holder = 0, .ready_time = 9});
+  copies = store.copies(1, 0);
+  ASSERT_EQ(copies.size(), 4u);
+  EXPECT_EQ(copies[0], (CopyRecord{.level = 0, .holder = 0}));
+  EXPECT_EQ(copies[1], (CopyRecord{.level = 0, .holder = 0, .ready_time = 9}));
+  EXPECT_EQ(copies[2], (CopyRecord{.level = 2, .holder = -1}));
+  EXPECT_EQ(copies[3], (CopyRecord{.level = 2, .holder = -1, .ready_time = 7}));
   EXPECT_EQ(store.file_bytes(1, 0), 7u);
   EXPECT_EQ(store.file_bytes(1, 3), 0u);  // Unknown rank: no file.
 }

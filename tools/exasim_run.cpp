@@ -82,8 +82,6 @@ void print_perf(const std::vector<const core::RunnerResult*>& results) {
       p.sched_windows += run.perf.sched_windows;
       p.sched_window_widenings += run.perf.sched_window_widenings;
       p.sched_steals += run.perf.sched_steals;
-      p.sched_speculated += run.perf.sched_speculated;
-      p.sched_rollbacks += run.perf.sched_rollbacks;
       p.sched_barrier_idle_ns += run.perf.sched_barrier_idle_ns;
       p.fiber_resumes += run.perf.fiber_resumes;
       p.wakeups_suppressed += run.perf.wakeups_suppressed;
@@ -125,12 +123,10 @@ void print_perf(const std::vector<const core::RunnerResult*>& results) {
   if (p.sched_windows > 0) {
     std::fprintf(stderr,
                  "sched          : %llu windows (%llu widened), %llu steals, "
-                 "%llu speculated (%llu rolled back), %.3f s barrier idle\n",
+                 "%.3f s barrier idle\n",
                  static_cast<unsigned long long>(p.sched_windows),
                  static_cast<unsigned long long>(p.sched_window_widenings),
                  static_cast<unsigned long long>(p.sched_steals),
-                 static_cast<unsigned long long>(p.sched_speculated),
-                 static_cast<unsigned long long>(p.sched_rollbacks),
                  static_cast<double>(p.sched_barrier_idle_ns) / 1e9);
   }
   if (p.fiber_resumes > 0) {
