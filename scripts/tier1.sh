@@ -14,10 +14,11 @@
 # unwinds) and the MPI edge-case, collective and ULFM suites (parked request
 # and unexpected-message slots are poisoned, so a stale Request* or a
 # revoked/timed-out receive left in a match queue reports like a
-# use-after-free). The mc leg runs the model-checker suite
-# (test_mc — a tiny scenario lattice end to end) under TSan, as-is and with
-# EXASIM_JOBS=4 so the campaign executor fans scenario evaluations across
-# worker threads under the race detector.
+# use-after-free), and the application suite (heat3d's vector stencil loads
+# reach into the halo planes and must stay inside the grid block). The mc
+# leg runs the model-checker suite (test_mc — a tiny scenario lattice end to
+# end) under TSan, as-is and with EXASIM_JOBS=4 so the campaign executor fans
+# scenario evaluations across worker threads under the race detector.
 #
 # Usage: scripts/tier1.sh [release|tsan|asan|mc|all] [jobs]
 #   scripts/tier1.sh              # all legs, jobs = nproc
@@ -73,7 +74,7 @@ run_tsan() {
 }
 
 run_asan() {
-  echo "== tier 1: AddressSanitizer (pool/fiber/engine/vmpi/resilience/storage/runner suites) =="
+  echo "== tier 1: AddressSanitizer (pool/fiber/engine/vmpi/resilience/storage/runner/apps suites) =="
   # Validates the hot-path memory pools: parked payload blocks, request and
   # unexpected-message slots, and recycled fiber stacks are shadow-poisoned,
   # so stale pointers into any of them trip ASan even though the memory
@@ -81,8 +82,8 @@ run_asan() {
   # configurations via EXASIM_NO_POOL.
   cmake -B build-asan -S . -DEXASIM_ASAN=ON >/dev/null
   cmake --build build-asan -j "$JOBS" --target test_util test_fiber test_pdes test_vmpi_p2p \
-    test_vmpi_edge test_vmpi_coll test_ulfm test_resilience test_storage test_runner
-  ASAN_SUITES='test_util|test_fiber|test_pdes|test_vmpi_p2p|test_vmpi_edge|test_vmpi_coll|test_ulfm|test_resilience|test_storage|test_runner'
+    test_vmpi_edge test_vmpi_coll test_ulfm test_resilience test_storage test_runner test_apps
+  ASAN_SUITES='test_util|test_fiber|test_pdes|test_vmpi_p2p|test_vmpi_edge|test_vmpi_coll|test_ulfm|test_resilience|test_storage|test_runner|test_apps'
   (cd build-asan && ctest --output-on-failure -R "$ASAN_SUITES")
   (cd build-asan && EXASIM_NO_POOL=1 ctest --output-on-failure -R "$ASAN_SUITES")
 }

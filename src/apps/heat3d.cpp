@@ -66,138 +66,183 @@ Decomposition decompose(const HeatParams& p, int rank, int size) {
   return d;
 }
 
-/// Real-mode grid with one halo layer. Index (x,y,z) in [-1, l?] maps into a
-/// dense (l+2)^3 block.
+// On x86-64 the stencil is built twice, baseline and AVX2, and the loader's
+// ifunc resolver picks one per process. AVX2 does not imply FMA (a separate
+// ISA flag), so the clones round identically; other targets build one copy.
+// So do ThreadSanitizer builds: GCC instruments the resolver with a call into
+// the TSan runtime, which crashes when the loader runs it before that runtime
+// is set up.
+#if defined(__x86_64__) && defined(__linux__) && !defined(__SANITIZE_THREAD__) && \
+    defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define EXASIM_STENCIL_CLONES __attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+#ifndef EXASIM_STENCIL_CLONES
+#define EXASIM_STENCIL_CLONES
+#endif
+
+/// Four x-adjacent grid points, one per lane of a generic vector.
+typedef double Lanes __attribute__((vector_size(4 * sizeof(double))));
+
+/// One explicit step of the 7-point heat stencil: reads the dense
+/// (lx+2) x (ly+2) x (lz+2) block `cur` (one halo layer) and writes the
+/// interior of `next`. Four x-points go per vector op and a scalar tail takes
+/// lx % 4. Every lane does the scalar expression's operations in its order —
+/// ((((xm+xp)+ym)+yp)+zm)+zp, then c + 0.1*(sum - 6*c) — so the result is
+/// bit-identical for any lx and either clone (DESIGN.md §2).
+EXASIM_STENCIL_CLONES
+void stencil_rows(const double* cur, double* next, int lx, int ly, int lz) {
+  constexpr double kAlpha = 0.1;
+  const std::ptrdiff_t sx = lx + 2;
+  const std::ptrdiff_t plane = sx * (ly + 2);
+  for (int z = 0; z < lz; ++z) {
+    for (int y = 0; y < ly; ++y) {
+      const std::ptrdiff_t row = (z + 1) * plane + (y + 1) * sx + 1;
+      const double* c = cur + row;
+      double* out = next + row;
+      int x = 0;
+      for (; x + 4 <= lx; x += 4) {
+        Lanes v, xm, xp, ym, yp, zm, zp;
+        std::memcpy(&v, c + x, sizeof v);
+        std::memcpy(&xm, c + x - 1, sizeof v);
+        std::memcpy(&xp, c + x + 1, sizeof v);
+        std::memcpy(&ym, c + x - sx, sizeof v);
+        std::memcpy(&yp, c + x + sx, sizeof v);
+        std::memcpy(&zm, c + x - plane, sizeof v);
+        std::memcpy(&zp, c + x + plane, sizeof v);
+        const Lanes sum = xm + xp + ym + yp + zm + zp;
+        const Lanes r = v + kAlpha * (sum - 6.0 * v);
+        std::memcpy(out + x, &r, sizeof r);
+      }
+      for (; x < lx; ++x) {
+        const double sum =
+            c[x - 1] + c[x + 1] + c[x - sx] + c[x + sx] + c[x - plane] + c[x + plane];
+        out[x] = c[x] + kAlpha * (sum - 6.0 * c[x]);
+      }
+    }
+  }
+}
+
+/// Real-mode grid with one halo layer: index (x,y,z) in [-1, l?] maps into a
+/// dense (lx+2) x (ly+2) x (lz+2) block, x fastest. Halo planes change only
+/// in unpack_face, which writes them into both buffers: a step never carries
+/// them across, and halo state stays single-sourced (it may not alternate
+/// between the buffers, or a restart from a checkpointed interior could never
+/// reproduce it).
 class Grid {
  public:
-  Grid(const Decomposition& d) : d_(d) {
-    const std::size_t n = static_cast<std::size_t>(d.lx + 2) * (d.ly + 2) * (d.lz + 2);
-    cur_.assign(n, 0.0);
-    next_.assign(n, 0.0);
-  }
+  explicit Grid(const Decomposition& d)
+      : d_(d),
+        sx_(static_cast<std::size_t>(d.lx) + 2),
+        plane_(sx_ * (static_cast<std::size_t>(d.ly) + 2)),
+        cur_(plane_ * (static_cast<std::size_t>(d.lz) + 2), 0.0),
+        next_(cur_.size(), 0.0) {}
 
-  double& at(std::vector<double>& a, int x, int y, int z) {
-    const std::size_t sx = static_cast<std::size_t>(d_.lx) + 2;
-    const std::size_t sy = static_cast<std::size_t>(d_.ly) + 2;
-    return a[(static_cast<std::size_t>(z + 1) * sy + (y + 1)) * sx + (x + 1)];
-  }
-  const double& at(const std::vector<double>& a, int x, int y, int z) const {
-    return const_cast<Grid*>(this)->at(const_cast<std::vector<double>&>(a), x, y, z);
-  }
-
-  void init(const HeatParams& p) {
-    // Deterministic initial condition from global coordinates.
+  void init() {
+    // Deterministic initial condition from global coordinates:
+    // sin(0.1 gx) + cos(0.13 gy) + sin(0.07 gz + 1), summed in that order.
+    // Each term depends on one coordinate, so it is tabulated once per
+    // coordinate.
+    std::vector<double> fx, fy, fz;
+    for (int x = 0; x < d_.lx; ++x) fx.push_back(std::sin(0.1 * (d_.ix * d_.lx + x)));
+    for (int y = 0; y < d_.ly; ++y) fy.push_back(std::cos(0.13 * (d_.iy * d_.ly + y)));
+    for (int z = 0; z < d_.lz; ++z) fz.push_back(std::sin(0.07 * (d_.iz * d_.lz + z) + 1.0));
     for (int z = 0; z < d_.lz; ++z) {
       for (int y = 0; y < d_.ly; ++y) {
+        double* row = &cur_[index(0, y, z)];
         for (int x = 0; x < d_.lx; ++x) {
-          const int gx = d_.ix * d_.lx + x;
-          const int gy = d_.iy * d_.ly + y;
-          const int gz = d_.iz * d_.lz + z;
-          at(cur_, x, y, z) =
-              std::sin(0.1 * gx) + std::cos(0.13 * gy) + std::sin(0.07 * gz + 1.0);
+          row[x] = fx[static_cast<std::size_t>(x)] + fy[static_cast<std::size_t>(y)] +
+                   fz[static_cast<std::size_t>(z)];
         }
       }
     }
-    (void)p;
   }
 
   void step() {
-    constexpr double kAlpha = 0.1;
-    for (int z = 0; z < d_.lz; ++z) {
-      for (int y = 0; y < d_.ly; ++y) {
-        for (int x = 0; x < d_.lx; ++x) {
-          const double c = at(cur_, x, y, z);
-          const double sum = at(cur_, x - 1, y, z) + at(cur_, x + 1, y, z) +
-                             at(cur_, x, y - 1, z) + at(cur_, x, y + 1, z) +
-                             at(cur_, x, y, z - 1) + at(cur_, x, y, z + 1);
-          at(next_, x, y, z) = c + kAlpha * (sum - 6.0 * c);
-        }
-      }
-    }
-    // Carry the face-halo planes into the buffer about to become current:
-    // halo state must be single-sourced (not alternate between the two
-    // buffers) or a restart from a checkpointed interior could never
-    // reproduce it.
-    for (int dir = 0; dir < 6; ++dir) {
-      iterate_face(dir, /*halo=*/true,
-                   [&](int x, int y, int z) { at(next_, x, y, z) = at(cur_, x, y, z); });
-    }
+    stencil_rows(cur_.data(), next_.data(), d_.lx, d_.ly, d_.lz);
     cur_.swap(next_);
   }
 
   void pack_face(int dir, std::vector<double>& buf) const {
-    buf.clear();
-    iterate_face(dir, /*halo=*/false,
-                 [&](int x, int y, int z) { buf.push_back(at(cur_, x, y, z)); });
+    buf.resize(d_.face_bytes(dir) / sizeof(double));
+    double* out = buf.data();
+    for_face_rows(dir, /*halo=*/false, [&](std::size_t at, std::size_t n) {
+      std::memcpy(out, &cur_[at], n * sizeof(double));
+      out += n;
+    });
   }
 
   void unpack_face(int dir, const std::vector<double>& buf) {
-    std::size_t i = 0;
-    iterate_face(dir, /*halo=*/true, [&](int x, int y, int z) { at(cur_, x, y, z) = buf[i++]; });
+    const double* in = buf.data();
+    for_face_rows(dir, /*halo=*/true, [&](std::size_t at, std::size_t n) {
+      std::memcpy(&cur_[at], in, n * sizeof(double));
+      std::memcpy(&next_[at], in, n * sizeof(double));
+      in += n;
+    });
   }
 
   double checksum() const {
     double s = 0;
     for (int z = 0; z < d_.lz; ++z) {
       for (int y = 0; y < d_.ly; ++y) {
-        for (int x = 0; x < d_.lx; ++x) s += at(cur_, x, y, z);
+        const double* row = &cur_[index(0, y, z)];
+        for (int x = 0; x < d_.lx; ++x) s += row[x];
       }
     }
     return s;
   }
 
-  /// Interior values, packed (for checkpointing).
-  std::vector<double> interior() const {
-    std::vector<double> out;
-    out.reserve(d_.points());
+  /// Writes the interior rows, packed x-fastest, to `out` (checkpointing).
+  void save_interior(std::byte* out) const {
+    const std::size_t row_bytes = static_cast<std::size_t>(d_.lx) * sizeof(double);
     for (int z = 0; z < d_.lz; ++z) {
       for (int y = 0; y < d_.ly; ++y) {
-        for (int x = 0; x < d_.lx; ++x) out.push_back(at(cur_, x, y, z));
-      }
-    }
-    return out;
-  }
-
-  void restore_interior(const double* data) {
-    std::size_t i = 0;
-    for (int z = 0; z < d_.lz; ++z) {
-      for (int y = 0; y < d_.ly; ++y) {
-        for (int x = 0; x < d_.lx; ++x) at(cur_, x, y, z) = data[i++];
+        std::memcpy(out, &cur_[index(0, y, z)], row_bytes);
+        out += row_bytes;
       }
     }
   }
 
-  double* raw() { return cur_.data(); }
-  std::size_t raw_bytes() const { return cur_.size() * sizeof(double); }
+  void restore_interior(const std::byte* in) {
+    const std::size_t row_bytes = static_cast<std::size_t>(d_.lx) * sizeof(double);
+    for (int z = 0; z < d_.lz; ++z) {
+      for (int y = 0; y < d_.ly; ++y) {
+        std::memcpy(&cur_[index(0, y, z)], in, row_bytes);
+        in += row_bytes;
+      }
+    }
+  }
 
  private:
+  std::size_t index(int x, int y, int z) const {
+    return static_cast<std::size_t>(z + 1) * plane_ + static_cast<std::size_t>(y + 1) * sx_ +
+           static_cast<std::size_t>(x + 1);
+  }
+
+  /// Calls f(offset, count) for each contiguous run of face `dir` in pack
+  /// order. The interior face (halo=false) is the boundary plane we send; the
+  /// halo plane (halo=true) is where the neighbour's data lands. y and z faces
+  /// run in lx-long rows; an x face is strided, one point per run.
   template <typename F>
-  void iterate_face(int dir, bool halo, F&& f) const {
-    // Interior face (halo=false) is the boundary plane we send; halo plane
-    // (halo=true) is where the neighbor's data lands.
+  void for_face_rows(int dir, bool halo, F&& f) const {
     const int axis = dir / 2;
     const bool low = (dir % 2) == 0;
-    int fx = low ? 0 : d_.lx - 1;
-    int fy = low ? 0 : d_.ly - 1;
-    int fz = low ? 0 : d_.lz - 1;
-    if (halo) {
-      fx = low ? -1 : d_.lx;
-      fy = low ? -1 : d_.ly;
-      fz = low ? -1 : d_.lz;
-    }
+    const int extent = axis == 0 ? d_.lx : axis == 1 ? d_.ly : d_.lz;
+    const int at = halo ? (low ? -1 : extent) : (low ? 0 : extent - 1);
+    const auto lx = static_cast<std::size_t>(d_.lx);
     if (axis == 0) {
       for (int z = 0; z < d_.lz; ++z)
-        for (int y = 0; y < d_.ly; ++y) f(fx, y, z);
+        for (int y = 0; y < d_.ly; ++y) f(index(at, y, z), 1);
     } else if (axis == 1) {
-      for (int z = 0; z < d_.lz; ++z)
-        for (int x = 0; x < d_.lx; ++x) f(x, fy, z);
+      for (int z = 0; z < d_.lz; ++z) f(index(0, at, z), lx);
     } else {
-      for (int y = 0; y < d_.ly; ++y)
-        for (int x = 0; x < d_.lx; ++x) f(x, y, fz);
+      for (int y = 0; y < d_.ly; ++y) f(index(0, y, at), lx);
     }
   }
 
   const Decomposition& d_;
+  const std::size_t sx_, plane_;  // Row and plane strides of the block.
   std::vector<double> cur_, next_;
 };
 
@@ -231,7 +276,7 @@ Err halo_exchange(Context& ctx, const Decomposition& d, Grid* grid, HaloBuffers&
     if (d.neighbor[dir] < 0) continue;
     const std::size_t bytes = d.face_bytes(dir);
     if (grid != nullptr) {
-      recv_bufs[static_cast<std::size_t>(dir)].assign(bytes / sizeof(double), 0.0);
+      recv_bufs[static_cast<std::size_t>(dir)].resize(bytes / sizeof(double));
       handles.push_back(ctx.irecv(world, d.neighbor[dir], kHaloTagBase + opposite(dir),
                                   recv_bufs[static_cast<std::size_t>(dir)].data(), bytes));
     } else {
@@ -277,8 +322,7 @@ void heat3d_main(Context& ctx, const HeatParams& p, std::vector<HeatReport>* rep
   std::unique_ptr<Grid> grid;
   if (p.real_compute) {
     grid = std::make_unique<Grid>(d);
-    grid->init(p);
-    if (p.register_memory) ctx.register_memory("heat3d.grid", grid->raw(), grid->raw_bytes());
+    grid->init();
   }
   HaloBuffers halo;
 
@@ -302,8 +346,7 @@ void heat3d_main(Context& ctx, const HeatParams& p, std::vector<HeatReport>* rep
       if (payload->size() != sizeof(header) + state_bytes) {
         throw std::runtime_error("checkpoint payload size mismatch");
       }
-      grid->restore_interior(
-          reinterpret_cast<const double*>(payload->data() + sizeof(header)));
+      grid->restore_interior(payload->data() + sizeof(header));
     }
     // Stale complete sets older than the one restored are garbage-collected.
     for (std::uint64_t v : store.versions()) {
@@ -319,6 +362,9 @@ void heat3d_main(Context& ctx, const HeatParams& p, std::vector<HeatReport>* rep
 
   std::uint64_t prev_ckpt_version = restarts_used != 0 ? restored_version : 0;
   bool have_prev_ckpt = restarts_used != 0;
+  // One checkpoint payload per rank, reused by every checkpoint: the header,
+  // then in real mode the interior rows.
+  std::vector<std::byte> payload(sizeof(HeatCkptHeader) + (grid ? state_bytes : 0));
 
   for (int it = start_iteration; it <= p.total_iterations; ++it) {
     // Computation phase — by far the longest (§V-D), so most failures
@@ -348,13 +394,8 @@ void heat3d_main(Context& ctx, const HeatParams& p, std::vector<HeatReport>* rep
       header.nx = p.nx;
       header.ny = p.ny;
       header.nz = p.nz;
-      std::vector<std::byte> payload(sizeof(header));
       std::memcpy(payload.data(), &header, sizeof(header));
-      if (grid) {
-        const auto interior = grid->interior();
-        const auto* bytes = reinterpret_cast<const std::byte*>(interior.data());
-        payload.insert(payload.end(), bytes, bytes + state_bytes);
-      }
+      if (grid) grid->save_interior(payload.data() + sizeof(header));
       writer.write(ctx, store, static_cast<std::uint64_t>(it), payload,
                    sizeof(header) + state_bytes);
 

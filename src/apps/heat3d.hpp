@@ -68,9 +68,6 @@ struct HeatParams {
   /// compute and sends size-only messages — used for 32,768-rank benches.
   bool real_compute = true;
 
-  /// Register grid memory for soft-error injection (real mode only).
-  bool register_memory = false;
-
   HeatTelemetry* telemetry = nullptr;  ///< Optional phase tracking.
 };
 

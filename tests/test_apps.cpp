@@ -88,6 +88,91 @@ TEST(Heat3D, ChecksumIdenticalWithAndWithoutFailure) {
   }
 }
 
+/// A heat3d configuration whose per-rank checksums are pinned bit-exactly:
+/// global grid, process grid, and the halo (= checkpoint) interval.
+struct PinnedRun {
+  int nx, ny, nz, px, py, pz;
+  int interval;
+};
+
+/// Runs `run` for 12 iterations (with `failures` injected into the first
+/// launch) and returns the per-rank checksums.
+std::vector<double> heat_checksums(const PinnedRun& run, std::vector<FailureSpec> failures = {},
+                                   RunnerResult* result = nullptr) {
+  HeatParams p;
+  p.nx = run.nx;
+  p.ny = run.ny;
+  p.nz = run.nz;
+  p.px = run.px;
+  p.py = run.py;
+  p.pz = run.pz;
+  p.total_iterations = 12;
+  p.halo_interval = run.interval;
+  p.checkpoint_interval = run.interval;
+  p.work_units_per_point = 100.0;
+  const int ranks = run.px * run.py * run.pz;
+  std::vector<HeatReport> reports(static_cast<std::size_t>(ranks));
+  RunnerConfig rc;
+  rc.base = tiny_config(ranks);
+  rc.first_run_failures = std::move(failures);
+  ResilientRunner runner(rc, apps::make_heat3d(p, &reports));
+  RunnerResult res = runner.run();
+  EXPECT_TRUE(res.completed);
+  if (result != nullptr) *result = res;
+  std::vector<double> sums;
+  for (const auto& r : reports) sums.push_back(r.checksum);
+  return sums;
+}
+
+// Local dims 3, 5, 6, 9 and an uneven 5x6x7 block (no y neighbours), none a
+// multiple of the stencil's vector width, with halo exchange every 1 or 3
+// iterations.
+constexpr PinnedRun kCube3{6, 6, 6, 2, 2, 2, 1};
+constexpr PinnedRun kCube5{10, 10, 10, 2, 2, 2, 3};
+constexpr PinnedRun kCube6{12, 12, 12, 2, 2, 2, 1};
+constexpr PinnedRun kCube9{18, 18, 18, 2, 2, 2, 3};
+constexpr PinnedRun kUneven{10, 6, 14, 2, 1, 2, 1};
+
+// Captured before the kernel was vectorised; see ChecksumsArePinnedBitExactly.
+const std::vector<double> kCube3Sums = {
+    0x1.1f71d7d69a54ap+4, 0x1.360bb74b3b91bp+4, 0x1.15cf213832fb2p+4, 0x1.2c6900acd4384p+4,
+    0x1.25c34140d679dp+4, 0x1.3c5d20b577b6ep+4, 0x1.1c208aa26f206p+4, 0x1.32ba6a17105d7p+4
+};
+const std::vector<double> kCube5Sums = {
+    0x1.eef2a800b823dp+6, 0x1.22ddc0fb83b03p+7, 0x1.aaa903fec1ae7p+6, 0x1.00b8eefa88756p+7,
+    0x1.001773138a4e7p+7, 0x1.2b7be00eb1eccp+7, 0x1.bbe542251e27bp+6, 0x1.09570e0db6b21p+7
+};
+const std::vector<double> kCube6Sums = {
+    0x1.14aeffa0a8ee8p+8, 0x1.4adf600270879p+8, 0x1.bf0738fbce2bcp+7, 0x1.15b3fcdfaeae7p+8,
+    0x1.1d0463c9c989ep+8, 0x1.5334c42b91224p+8, 0x1.cfb2014e0f62bp+7, 0x1.1e096108cf49dp+8
+};
+const std::vector<double> kCube9Sums = {
+    0x1.09cc41fbe1569p+10, 0x1.49664a80f5d0ap+10, 0x1.3d11583278a1cp+9, 0x1.bc45693ca193ep+9,
+    0x1.081d0ccf48e55p+10, 0x1.47b715545d5efp+10, 0x1.39b2edd947bfbp+9, 0x1.b8e6fee370b17p+9
+};
+const std::vector<double> kUnevenSums = {
+    0x1.c82525a0be074p+7, 0x1.095818f2f2d59p+8, 0x1.d2794ef21adacp+7, 0x1.0e822d9ba13f4p+8
+};
+
+TEST(Heat3D, ChecksumsArePinnedBitExactly) {
+  // The kernel's arithmetic is part of the contract (DESIGN.md §2): any
+  // reordering, fused multiply-add or fast-math rewrite moves these bits.
+  EXPECT_EQ(heat_checksums(kCube3), kCube3Sums);
+  EXPECT_EQ(heat_checksums(kCube5), kCube5Sums);
+  EXPECT_EQ(heat_checksums(kCube6), kCube6Sums);
+  EXPECT_EQ(heat_checksums(kCube9), kCube9Sums);
+  EXPECT_EQ(heat_checksums(kUneven), kUnevenSums);
+}
+
+TEST(Heat3D, ChecksumsArePinnedAcrossARestart) {
+  RunnerResult clean;
+  heat_checksums(kCube5, {}, &clean);
+  RunnerResult failed;
+  const auto sums = heat_checksums(kCube5, {FailureSpec{5, clean.total_time / 2}}, &failed);
+  EXPECT_EQ(failed.failures, 1);
+  EXPECT_EQ(sums, kCube5Sums);
+}
+
 TEST(Heat3D, ModeledModeMatchesRealModeTiming) {
   auto total_time = [&](bool real) {
     HeatParams p = heat_8ranks(10);
