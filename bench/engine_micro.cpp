@@ -323,7 +323,8 @@ void BM_FiberSwitch(benchmark::State& state) {
 BENCHMARK(BM_FiberSwitch);
 
 void BM_FiberCreateDestroy(benchmark::State& state) {
-  // Pooled: after the first iteration every stack is a MADV_DONTNEED reuse.
+  // Pooled: after the first iteration every stack is a warm reuse (no
+  // syscall, no page fault).
   // Heap: one mmap/mprotect/munmap triple per fiber.
   PoolMode mode(state.range(0) != 0);
   for (auto _ : state) {

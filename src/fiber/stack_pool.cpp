@@ -120,10 +120,9 @@ void FiberStackPool::release(Stack stack) {
     unmap_locked(stack);
     return;
   }
-  // Drop the committed pages but keep the mapping (and any guard page): the
-  // next acquire of this size reuses the address range with zero syscalls
-  // beyond this one, and an idle pool holds no physical memory.
-  ::madvise(stack.base, stack.bytes, MADV_DONTNEED);
+  // Park the stack with its pages still committed (and any guard page): the
+  // next acquire of this size reuses it with no syscall and no page fault.
+  // trim() is what hands the memory back.
   free_[stack.bytes].push_back(stack);
   ++stats_.pooled;
 }

@@ -24,10 +24,12 @@ namespace exasim {
 /// Stacks are recycled across fibers — and therefore across simulated
 /// machines and campaign items: standing up C = 10^4–10^5 simulated MPI
 /// ranks used to cost one mmap/munmap pair per rank per launch, which
-/// dominates short runs. On release the committed pages are dropped with
-/// madvise(MADV_DONTNEED) (physical memory returns to the kernel; the
-/// virtual mapping and the guard page stay), so an idle pool costs address
-/// space, not RSS.
+/// dominates short runs. A released stack is parked as it is — mapping,
+/// guard page and committed pages — so a relaunch reuses it with no syscall
+/// and no zero-fill page faults; a parked stack holds the pages its last
+/// fiber touched (its stack high-water, not its full size) until trim()
+/// unmaps the pool. Nothing may rely on a fresh stack being zeroed: a fiber
+/// writes its own initial frame.
 ///
 /// With pooling disabled (util::pool_enabled() == false, i.e. --no-pool /
 /// EXASIM_NO_POOL), acquire/release degrade to plain mmap/munmap — still
@@ -66,8 +68,8 @@ class FiberStackPool {
   /// failure.
   Stack acquire(std::size_t bytes);
 
-  /// Returns a stack obtained from acquire(). Pooled stacks are parked
-  /// (MADV_DONTNEED); unpooled ones are munmapped.
+  /// Returns a stack obtained from acquire(). Pooled stacks are parked with
+  /// their pages committed; unpooled ones are munmapped.
   void release(Stack stack);
 
   Stats stats() const;

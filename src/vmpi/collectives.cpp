@@ -53,6 +53,14 @@ Err coll_recv(SimProcess& p, Comm& comm, Rank src, int tag, void* buffer, std::s
   return p.wait_all({&h, 1}, nullptr);
 }
 
+/// Grows `buf` to at least `bytes` (its storage is kept across calls) and
+/// zeroes the first `bytes`, as a freshly sized vector would be.
+std::byte* zeroed_scratch(std::vector<std::byte>& buf, std::size_t bytes) {
+  if (buf.size() < bytes) buf.resize(bytes);
+  std::fill_n(buf.begin(), bytes, std::byte{0});
+  return buf.data();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -95,13 +103,14 @@ Err tree_bcast(SimProcess& p, Context& ctx, Comm& comm, Rank root, void* data,
 /// only valid for commutative ops — callers must check is_commutative(op)
 /// and fall back to the linear algorithm otherwise. `out` holds the local
 /// contribution on entry at every rank; on exit the root holds the result.
+/// `tmp_buf` is the scratch a contribution is received into.
 Err tree_reduce(SimProcess& p, Comm& comm, Rank root, ReduceOp op, Dtype dtype, void* out,
-                std::size_t count, int tag) {
+                std::size_t count, int tag, std::vector<std::byte>& tmp_buf) {
   const int n = comm.size();
   const int vrank = (comm.my_rank - root + n) % n;
   auto real = [&](int vr) { return static_cast<Rank>((vr + root) % n); };
   const std::size_t bytes = count * dtype_size(dtype);
-  std::vector<std::byte> tmp(bytes);
+  std::byte* tmp = zeroed_scratch(tmp_buf, bytes);
 
   int mask = 1;
   Err e = Err::kSuccess;
@@ -111,9 +120,9 @@ Err tree_reduce(SimProcess& p, Comm& comm, Rank root, ReduceOp op, Dtype dtype, 
       return e;  // Leaf/internal node done after sending up.
     }
     if (vrank + mask < n) {
-      e = coll_recv(p, comm, real(vrank + mask), tag, tmp.data(), bytes);
+      e = coll_recv(p, comm, real(vrank + mask), tag, tmp, bytes);
       if (e != Err::kSuccess) return e;
-      if (out != nullptr && bytes > 0) reduce_combine(op, dtype, out, tmp.data(), count);
+      if (out != nullptr && bytes > 0) reduce_combine(op, dtype, out, tmp, count);
     }
     mask <<= 1;
   }
@@ -132,7 +141,8 @@ Err Context::barrier(Comm& comm) {
   Err e = Err::kSuccess;
   if (proc_->config().collective_algo == CollectiveAlgo::kBinomialTree) {
     // Tree barrier: zero-byte binomial reduce up, binomial broadcast down.
-    e = tree_reduce(*proc_, comm, 0, ReduceOp::kSum, Dtype::kByte, nullptr, 0, gather_tag);
+    e = tree_reduce(*proc_, comm, 0, ReduceOp::kSum, Dtype::kByte, nullptr, 0, gather_tag,
+                    coll_recv_buf_);
     if (e == Err::kSuccess) {
       e = tree_bcast(*proc_, *this, comm, 0, nullptr, 0, release_tag);
     }
@@ -190,24 +200,22 @@ Err Context::reduce(Comm& comm, Rank root, ReduceOp op, Dtype dtype, const void*
       is_commutative(op)) {
     // Every rank seeds `out` with its contribution; the tree folds upward.
     if (out != nullptr && in != nullptr) std::memcpy(out, in, bytes);
-    std::vector<std::byte> scratch;
     void* acc = out;
     if (acc == nullptr && bytes > 0) {
-      scratch.assign(bytes, std::byte{0});
-      std::memcpy(scratch.data(), in, bytes);
-      acc = scratch.data();
+      acc = zeroed_scratch(coll_acc_buf_, bytes);
+      std::memcpy(acc, in, bytes);
     }
-    e = tree_reduce(*proc_, comm, root, op, dtype, acc, count, tag);
+    e = tree_reduce(*proc_, comm, root, op, dtype, acc, count, tag, coll_recv_buf_);
     return proc_->apply_error_handler(comm, e);
   }
   if (comm.my_rank == root) {
     if (out != nullptr && in != nullptr) std::memcpy(out, in, bytes);
-    std::vector<std::byte> tmp(bytes);
+    std::byte* tmp = zeroed_scratch(coll_recv_buf_, bytes);
     for (Rank r = 0; r < comm.size() && e == Err::kSuccess; ++r) {
       if (r == root) continue;
-      e = coll_recv(*proc_, comm, r, tag, tmp.data(), bytes);
+      e = coll_recv(*proc_, comm, r, tag, tmp, bytes);
       if (e == Err::kSuccess && out != nullptr && bytes > 0) {
-        reduce_combine(op, dtype, out, tmp.data(), count);
+        reduce_combine(op, dtype, out, tmp, count);
       }
     }
   } else {
@@ -290,7 +298,8 @@ Err Context::alltoall(Comm& comm, const void* in, std::size_t bytes_each, void* 
   }
   // Post every receive first, then every send, then wait — deadlock-free for
   // both eager and rendezvous transfers.
-  std::vector<RequestHandle> handles;
+  std::vector<RequestHandle>& handles = coll_handles_;
+  handles.clear();
   handles.reserve(2 * static_cast<std::size_t>(comm.size()));
   for (Rank r = 0; r < comm.size(); ++r) {
     if (r == comm.my_rank) continue;

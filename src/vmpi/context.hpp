@@ -173,6 +173,13 @@ class Context {
   int coll_tag(Comm& comm, int phase) const;
 
   SimProcess* proc_;
+  // Collective scratch, grown once and reused so warmed-up collectives make
+  // no heap allocations (DESIGN.md §9): the reduce receive buffer, the tree
+  // reduce's accumulator for a rank that passes no output buffer, and the
+  // alltoall request handles. Collectives never nest, so one set suffices.
+  std::vector<std::byte> coll_recv_buf_;
+  std::vector<std::byte> coll_acc_buf_;
+  std::vector<RequestHandle> coll_handles_;
 };
 
 }  // namespace exasim::vmpi

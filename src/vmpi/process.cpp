@@ -132,10 +132,12 @@ void SimProcess::register_probe_wait(int comm_id, Rank src, Rank src_world, int 
 void SimProcess::clear_wait() {
   wait_kind_ = WaitKind::kNone;
   wake_pending_ = false;
+  wait_pending_ = 0;
 }
 
 void SimProcess::note_request_done(Request& r) {
-  if (r.waited) wake_pending_ = true;
+  // Only the last outstanding waited request can satisfy a wait-all.
+  if (r.waited && wait_pending_ > 0 && --wait_pending_ == 0) wake_pending_ = true;
 }
 
 void SimProcess::note_unexpected(const Envelope& env) {
@@ -703,11 +705,11 @@ RequestHandle SimProcess::post_recv(Comm& comm, Rank src, int tag, void* buffer,
 }
 
 Err SimProcess::wait_all(std::span<const RequestHandle> handles, MsgStatus* statuses) {
-  // Record the wait-set once: event handlers tell a completion that
-  // satisfies this wait from unrelated traffic by Request::waited (wakeup
-  // filter), and each wake only drops the entries that completed since.
-  // Waited requests stay live while the fiber is blocked: only this fiber
-  // releases requests.
+  // Record the wait-set once: event handlers tell a completion of this wait
+  // from unrelated traffic by Request::waited and count the waited requests
+  // down, waking the fiber when the last one completes (wakeup filter); each
+  // wake only drops the entries that completed since. Waited requests stay
+  // live while the fiber is blocked: only this fiber releases requests.
   wait_kind_ = WaitKind::kRequests;
   wait_set_.clear();
   if (wait_set_.capacity() < handles.size()) wait_set_.reserve(handles.size());
@@ -718,8 +720,12 @@ Err SimProcess::wait_all(std::span<const RequestHandle> handles, MsgStatus* stat
       wait_set_.push_back(r);
     }
   }
+  wait_pending_ = wait_set_.size();
   block_until([this] {
     std::erase_if(wait_set_, [](const Request* r) { return r->done(); });
+    // Re-sync the count: completions that resume the fiber directly (the
+    // stall-time ANY_SOURCE release) never passed note_request_done.
+    wait_pending_ = wait_set_.size();
     return wait_set_.empty();
   });
   clear_wait();

@@ -250,18 +250,23 @@ class SimProcess final : public LogicalProcess {
 
   // Wakeup filter (DESIGN.md §13). While the fiber is blocked, the block
   // condition is recorded here: the wait-set of requests (each flagged
-  // Request::waited, and listed in wait_set_) or a probe's match spec. Event
-  // handlers then resume the fiber via maybe_run_fiber(), which skips the
-  // resume unless something flipped the recorded condition — a waited
-  // request completed (note_request_done) or a probe-visible unexpected
-  // message arrived (note_unexpected). Handlers whose effect block_until
-  // itself re-evaluates (abort notices) or that force an unwind (failure
-  // activation, stall release) keep resuming unconditionally. Every resume
-  // the filter skips would have been a pure no-op — the predicates touch no
-  // simulated state (the wait-all one only drops completed entries from
-  // wait_set_) and completion times never depend on when the fiber
-  // re-checks them — so the delivered schedule is byte-identical to eager
-  // mode (EXASIM_EAGER_WAKEUP=1 disables the filter to prove it).
+  // Request::waited, listed in wait_set_ and counted in wait_pending_) or a
+  // probe's match spec. Event handlers then resume the fiber via
+  // maybe_run_fiber(), which skips the resume unless something flipped the
+  // recorded condition — the last outstanding waited request completed
+  // (note_request_done counts them down, so a wait-all resumes once, when
+  // its whole wait-set is done) or a probe-visible unexpected message
+  // arrived (note_unexpected). Handlers whose effect block_until itself
+  // re-evaluates (abort notices) or that force an unwind (failure
+  // activation, stall release) keep resuming unconditionally; each such
+  // predicate run re-syncs wait_pending_ from wait_set_, so a request the
+  // stall release completed outside note_request_done cannot hold the count
+  // above zero. Every resume the filter skips would have been a pure no-op — the
+  // predicates touch no simulated state (the wait-all one only drops
+  // completed entries from wait_set_ and recounts it) and completion times
+  // never depend on when the fiber re-checks them — so the delivered
+  // schedule is byte-identical to eager mode (EXASIM_EAGER_WAKEUP=1
+  // disables the filter to prove it).
   enum class WaitKind : std::uint8_t { kNone, kRequests, kProbe };
   void register_probe_wait(int comm_id, Rank src, Rank src_world, int tag);
   void clear_wait();
@@ -328,6 +333,7 @@ class SimProcess final : public LogicalProcess {
   // Recorded block condition (see the wakeup-filter note above).
   WaitKind wait_kind_ = WaitKind::kNone;
   bool wake_pending_ = false;  ///< Condition flipped; resume at next wake site.
+  std::size_t wait_pending_ = 0;  ///< Waited requests not yet seen completing.
   int wait_comm_id_ = 0;       ///< Probe spec: communicator id,
   Rank wait_src_ = kAnySource;        ///< source comm rank (may be kAnySource),
   Rank wait_src_world_ = -1;          ///< resolved world rank (-1 = ANY),

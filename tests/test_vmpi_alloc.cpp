@@ -1,8 +1,8 @@
 // Allocation regression guard for the simulated MPI hot path: once warmed
-// up, point-to-point traffic and the linear collectives must not touch the
-// general heap at all — requests are recycled in per-process slabs, match
-// buckets persist, wait sets reuse their storage, and payloads come from the
-// pool (DESIGN.md §9).
+// up, point-to-point traffic and the collectives must not touch the general
+// heap at all — requests are recycled in per-process slabs, match buckets
+// persist, wait sets and collective scratch reuse their storage, and
+// payloads come from the pool (DESIGN.md §9).
 //
 // Every ::operator new in this binary is counted, so the guard sees all heap
 // traffic of the simulator, its containers and the pool's own slab carving.
@@ -64,10 +64,12 @@ struct Window {
 /// machine; rank 0 snapshots the counters when the measured rounds start and
 /// when they end.
 template <class Round>
-void measure(int warmup, int rounds, Round round, Window* start, Window* end) {
+void measure(int warmup, int rounds, Round round, Window* start, Window* end,
+             vmpi::CollectiveAlgo algo = vmpi::CollectiveAlgo::kLinear) {
   util::set_pool_enabled(true);
   auto cfg = tiny_config(8);
   cfg.sim_workers = 1;
+  cfg.process.collective_algo = algo;
   auto app = [&](Context& ctx) {
     for (int i = 0; i < warmup + rounds; ++i) {
       if (ctx.rank() == 0 && i == warmup) *start = {g_news.load(), util::pool_stats()};
@@ -133,6 +135,54 @@ TEST(Alloc, BlockingSendRecvAndBcastAllocateNothingInSteadyState) {
   measure(kWarmup, kRounds, round, &start, &end);
   EXPECT_TRUE(all_ok);
   EXPECT_EQ(end.news - start.news, 0u) << "heap allocations in steady-state rounds";
+  EXPECT_EQ(end.pool.heap_allocs - start.pool.heap_allocs, 0u);
+  EXPECT_EQ(end.pool.slab_allocs - start.pool.slab_allocs, 0u);
+}
+
+TEST(Alloc, ReduceAndAllreduceAllocateNothingInSteadyState) {
+  // The reducing ranks receive every contribution into collective scratch
+  // kept across calls, under both algorithms; a tree reduce whose non-root
+  // ranks pass no output buffer accumulates in scratch too.
+  for (const auto algo : {vmpi::CollectiveAlgo::kLinear, vmpi::CollectiveAlgo::kBinomialTree}) {
+    bool all_ok = true;
+    auto round = [&](Context& ctx, int i) {
+      const double in[4] = {1.0 * i, 2.0, 3.0, static_cast<double>(ctx.rank())};
+      double out[4] = {};
+      all_ok &= ctx.allreduce(ctx.world(), vmpi::ReduceOp::kSum, vmpi::Dtype::kF64, in, out,
+                              4) == Err::kSuccess;
+      all_ok &= out[0] == 8.0 * i && out[1] == 16.0 && out[3] == 28.0;
+      double* root_out = ctx.rank() == 0 ? out : nullptr;
+      all_ok &= ctx.reduce(ctx.world(), 0, vmpi::ReduceOp::kMax, vmpi::Dtype::kF64, in,
+                           root_out, 4) == Err::kSuccess;
+      all_ok &= ctx.rank() != 0 || out[3] == 7.0;
+    };
+    Window start, end;
+    measure(kWarmup, kRounds, round, &start, &end, algo);
+    EXPECT_TRUE(all_ok);
+    EXPECT_EQ(end.news - start.news, 0u) << "heap allocations in steady-state reduce";
+    EXPECT_EQ(end.pool.heap_allocs - start.pool.heap_allocs, 0u);
+    EXPECT_EQ(end.pool.slab_allocs - start.pool.slab_allocs, 0u);
+  }
+}
+
+TEST(Alloc, AlltoallAllocatesNothingInSteadyState) {
+  // Every rank posts n-1 receives and n-1 sends and waits on all of them;
+  // the handle list lives in collective scratch kept across calls.
+  bool all_ok = true;
+  auto round = [&](Context& ctx, int i) {
+    const int me = ctx.rank();
+    int in[8], out[8];
+    for (int r = 0; r < 8; ++r) {
+      in[r] = 100 * me + r + i;
+      out[r] = -1;
+    }
+    all_ok &= ctx.alltoall(ctx.world(), in, sizeof(int), out) == Err::kSuccess;
+    for (int r = 0; r < 8; ++r) all_ok &= out[r] == 100 * r + me + i;
+  };
+  Window start, end;
+  measure(kWarmup, kRounds, round, &start, &end);
+  EXPECT_TRUE(all_ok);
+  EXPECT_EQ(end.news - start.news, 0u) << "heap allocations in steady-state alltoall";
   EXPECT_EQ(end.pool.heap_allocs - start.pool.heap_allocs, 0u);
   EXPECT_EQ(end.pool.slab_allocs - start.pool.slab_allocs, 0u);
 }

@@ -383,38 +383,52 @@ TEST(P2P, DeterministicAcrossRuns) {
 
 // ---- Wakeup filter (DESIGN.md §13) ----------------------------------------
 
+/// Field-for-field equality of two runs' simulated results.
+void expect_same_simulation(const SimResult& a, const SimResult& b) {
+  EXPECT_EQ(a.outcome, b.outcome);
+  EXPECT_EQ(a.events_processed, b.events_processed);
+  EXPECT_EQ(a.max_end_time, b.max_end_time);
+  EXPECT_EQ(a.min_end_time, b.min_end_time);
+  EXPECT_EQ(a.total_busy_time, b.total_busy_time);
+  EXPECT_EQ(a.total_comm_time, b.total_comm_time);
+  EXPECT_EQ(a.finished_count, b.finished_count);
+  EXPECT_EQ(a.failed_count, b.failed_count);
+}
+
+/// Runs `app` on `cfg` with eager (true) or filtered (false) dispatch.
+SimResult run_dispatch(bool eager, core::SimConfig cfg, const vmpi::AppMain& app) {
+  const bool before = vmpi::eager_wakeup_enabled();
+  vmpi::set_eager_wakeup(eager);
+  SimResult r = run_app(std::move(cfg), app);
+  vmpi::set_eager_wakeup(before);
+  return r;
+}
+
 TEST(P2P, WakeupFilterMatchesEagerFieldForField) {
   // Fan-in: rank 0 receives from every peer in rank order, so most arrivals
   // reach it while it is blocked on a receive they cannot complete. The
   // filtered dispatcher must suppress those resumes (counted) without
   // changing any simulated quantity vs EXASIM_EAGER_WAKEUP-style dispatch.
-  auto run_mode = [&](bool eager) {
-    const bool before = vmpi::eager_wakeup_enabled();
-    vmpi::set_eager_wakeup(eager);
-    auto app = [](Context& ctx) {
-      std::uint64_t v = static_cast<std::uint64_t>(ctx.rank());
-      if (ctx.rank() == 0) {
-        // Reverse source order: arrivals process in ascending source key
-        // order, so while blocked on the highest source every lower-source
-        // arrival is unexpected — suppressible under filtered dispatch.
-        for (int src = ctx.size() - 1; src >= 1; --src) {
-          std::uint64_t got = 0;
-          EXPECT_EQ(ctx.recv(src, 0, &got, sizeof got), Err::kSuccess);
-          EXPECT_EQ(got, static_cast<std::uint64_t>(src));
-        }
-      } else {
-        ctx.send(0, 0, &v, sizeof v);
+  auto app = [](Context& ctx) {
+    std::uint64_t v = static_cast<std::uint64_t>(ctx.rank());
+    if (ctx.rank() == 0) {
+      // Reverse source order: arrivals process in ascending source key
+      // order, so while blocked on the highest source every lower-source
+      // arrival is unexpected — suppressible under filtered dispatch.
+      for (int src = ctx.size() - 1; src >= 1; --src) {
+        std::uint64_t got = 0;
+        EXPECT_EQ(ctx.recv(src, 0, &got, sizeof got), Err::kSuccess);
+        EXPECT_EQ(got, static_cast<std::uint64_t>(src));
       }
-      ctx.finalize();
-    };
-    SimResult r = run_app(tiny_config(8), app);
-    vmpi::set_eager_wakeup(before);
-    return r;
+    } else {
+      ctx.send(0, 0, &v, sizeof v);
+    }
+    ctx.finalize();
   };
   const PerfSnapshot t0 = perf_snapshot();
-  const SimResult filtered = run_mode(false);
+  const SimResult filtered = run_dispatch(false, tiny_config(8), app);
   const PerfSnapshot t1 = perf_snapshot();
-  const SimResult eager = run_mode(true);
+  const SimResult eager = run_dispatch(true, tiny_config(8), app);
   const PerfSnapshot t2 = perf_snapshot();
   const PerfSnapshot df = perf_delta(t0, t1);
   const PerfSnapshot de = perf_delta(t1, t2);
@@ -422,13 +436,7 @@ TEST(P2P, WakeupFilterMatchesEagerFieldForField) {
   EXPECT_EQ(de.wakeups_suppressed, 0u);
   EXPECT_LT(df.fiber_resumes, de.fiber_resumes);  // Fewer switches, same sim.
   EXPECT_EQ(filtered.outcome, SimResult::Outcome::kCompleted);
-  EXPECT_EQ(filtered.outcome, eager.outcome);
-  EXPECT_EQ(filtered.events_processed, eager.events_processed);
-  EXPECT_EQ(filtered.max_end_time, eager.max_end_time);
-  EXPECT_EQ(filtered.min_end_time, eager.min_end_time);
-  EXPECT_EQ(filtered.total_busy_time, eager.total_busy_time);
-  EXPECT_EQ(filtered.total_comm_time, eager.total_comm_time);
-  EXPECT_EQ(filtered.finished_count, eager.finished_count);
+  expect_same_simulation(filtered, eager);
 }
 
 TEST(P2P, AnySourceMatchForcesWakeupUnderFiltering) {
@@ -456,6 +464,115 @@ TEST(P2P, AnySourceMatchForcesWakeupUnderFiltering) {
   EXPECT_EQ(r.outcome, SimResult::Outcome::kCompleted);
   EXPECT_EQ(wanted, 41u);
   EXPECT_EQ(side, 17u);
+}
+
+TEST(P2P, HaloWaitallResumesOncePerWaitSet) {
+  // Rank 0 is a six-neighbour halo: each round it posts six receives and six
+  // sends and waits on all twelve. Its neighbours send one message per round
+  // at staggered times, so all six arrivals land while rank 0 is blocked,
+  // at six distinct events. Each neighbour posts its receives of rank 0's
+  // messages up front and waits on them all once at the end. Counting the
+  // waited completions down resumes every one of these waitalls exactly
+  // once, when its wait set is done; eager dispatch resumes on every
+  // arrival. Both deliver the same simulation.
+  constexpr int kNeighbours = 6;
+  constexpr int kRounds = 8;
+  auto run_mode = [&](bool eager, std::uint64_t* window_resumes) {
+    auto app = [&](Context& ctx) {
+      auto& w = ctx.world();
+      const int me = ctx.rank();
+      std::vector<vmpi::RequestHandle> hs;
+      if (me == 0) {
+        std::uint64_t in[kNeighbours] = {};
+        PerfSnapshot s0;
+        for (int round = 0; round < kRounds; ++round) {
+          // From round 1 on, every neighbour is blocked in its final
+          // waitall; the window sees rank 0's resumes and one per neighbour.
+          if (round == 1) s0 = perf_snapshot();
+          const auto out = static_cast<std::uint64_t>(round);
+          hs.clear();
+          for (int k = 1; k <= kNeighbours; ++k) {
+            hs.push_back(ctx.irecv(w, k, round, &in[k - 1], sizeof in[0]));
+          }
+          for (int k = 1; k <= kNeighbours; ++k) {
+            hs.push_back(ctx.isend(w, k, round, &out, sizeof out));
+          }
+          EXPECT_EQ(ctx.waitall(w, hs), Err::kSuccess);
+          for (int k = 1; k <= kNeighbours; ++k) {
+            EXPECT_EQ(in[k - 1], static_cast<std::uint64_t>(100 * k + round));
+          }
+        }
+        *window_resumes = perf_delta(s0, perf_snapshot()).fiber_resumes;
+      } else {
+        std::vector<std::uint64_t> got(kRounds);
+        for (int round = 0; round < kRounds; ++round) {
+          hs.push_back(ctx.irecv(w, 0, round, &got[static_cast<std::size_t>(round)],
+                                 sizeof got[0]));
+        }
+        ctx.compute(1000.0 * me);  // Stagger the neighbours by 1 us.
+        for (int round = 0; round < kRounds; ++round) {
+          ctx.compute(100e3);  // 100 us per round, far beyond one exchange.
+          const auto v = static_cast<std::uint64_t>(100 * me + round);
+          EXPECT_EQ(ctx.send(0, round, &v, sizeof v), Err::kSuccess);
+        }
+        EXPECT_EQ(ctx.waitall(w, hs), Err::kSuccess);
+        for (int round = 0; round < kRounds; ++round) {
+          EXPECT_EQ(got[static_cast<std::size_t>(round)], static_cast<std::uint64_t>(round));
+        }
+      }
+      ctx.finalize();
+    };
+    return run_dispatch(eager, tiny_config(kNeighbours + 1), app);
+  };
+  std::uint64_t filtered_resumes = 0, eager_resumes = 0;
+  const SimResult filtered = run_mode(false, &filtered_resumes);
+  const SimResult eager = run_mode(true, &eager_resumes);
+  EXPECT_EQ(filtered.outcome, SimResult::Outcome::kCompleted);
+  EXPECT_EQ(filtered_resumes, static_cast<std::uint64_t>((kRounds - 1) + kNeighbours))
+      << "one resume per waitall";
+  EXPECT_GE(eager_resumes, static_cast<std::uint64_t>(kNeighbours * (kRounds - 1)));
+  expect_same_simulation(filtered, eager);
+}
+
+TEST(P2P, StallReleasedAnySourceKeepsWaitallWakeable) {
+  // Rank 0 waits on an ANY_SOURCE receive nobody sends to, next to a receive
+  // from rank 2. Rank 1 fails, so at the engine stall the ANY_SOURCE
+  // receive is released with kProcFailed and rank 0 is resumed directly,
+  // bypassing the completion count; its wait stays blocked on rank 2. Rank
+  // 2 is released from its own ANY_SOURCE receive at the same stall and
+  // only then sends, and that later completion must still wake rank 0.
+  auto cfg = tiny_config(3);
+  cfg.failures = {FailureSpec{1, sim_ms(5)}};
+  std::uint64_t from2 = 0;
+  std::vector<Err> errs;
+  auto app = [&](Context& ctx) {
+    auto& w = ctx.world();
+    ctx.set_error_handler(w, vmpi::ErrorHandlerKind::kReturn);
+    std::uint64_t v = 0;
+    if (ctx.rank() == 0) {
+      std::vector<vmpi::RequestHandle> hs;
+      hs.push_back(ctx.irecv(w, vmpi::kAnySource, 1, &v, sizeof v));
+      hs.push_back(ctx.irecv(w, 2, 2, &from2, sizeof from2));
+      std::vector<MsgStatus> st;
+      EXPECT_EQ(ctx.waitall(w, hs, &st), Err::kProcFailed);
+      errs = {st[0].error, st[1].error};
+    } else if (ctx.rank() == 1) {
+      ctx.compute(1e9);  // Fails on its first clock update past 5 ms.
+    } else {
+      EXPECT_EQ(ctx.recv(vmpi::kAnySource, 3, &v, sizeof v), Err::kProcFailed);
+      v = 23;
+      EXPECT_EQ(ctx.send(0, 2, &v, sizeof v), Err::kSuccess);
+    }
+    ctx.finalize();
+  };
+  const SimResult filtered = run_dispatch(false, cfg, app);
+  EXPECT_EQ(filtered.outcome, SimResult::Outcome::kCompleted);
+  EXPECT_EQ(from2, 23u);
+  EXPECT_EQ(errs, (std::vector<Err>{Err::kProcFailed, Err::kSuccess}));
+  from2 = 0;
+  const SimResult eager = run_dispatch(true, cfg, app);
+  EXPECT_EQ(from2, 23u);
+  expect_same_simulation(filtered, eager);
 }
 
 // Deadlock: both ranks recv from each other with nothing sent.
